@@ -8,14 +8,12 @@
 // (the fig benches) would mask engine regressions; this one exists so the
 // perf trajectory of the engine itself is tracked from PR 3 onward.
 //
-// Three engine paths are timed over the identical workload:
-//   scalar  — per-item std::function bindings through the compatibility
-//             adapter (the only form the pre-refactor engine supported,
-//             which makes this number comparable across that boundary);
-//   batched — one call per warp via the batched binding API;
-//   sharded — batched plus team-parallel execution on the host pool.
-// The three result databases must be byte-identical; the bench fails
-// loudly if they are not (the engine's bit-identity contract).
+// Two engine paths are timed over the identical workload:
+//   batched — serial execution, one call per warp via the batched binding;
+//   sharded — the same binding plus team-parallel execution on the host
+//             pool.
+// The result databases must be byte-identical; the bench fails loudly if
+// they are not (the engine's bit-identity contract).
 //
 // Output: <out-dir>/BENCH_region_exec.json with wall seconds and
 // region-invocations/second per path. Wire into CI as a non-gating step.
@@ -37,7 +35,6 @@
 #include "offload/target.hpp"
 #include "sim/device.hpp"
 #include "sim/launch.hpp"
-#include "sim/warp.hpp"
 
 namespace {
 
@@ -51,12 +48,8 @@ double region_value(std::uint64_t i) {
   return 1.0 + static_cast<double>(i % 7) * 0.25;
 }
 
-enum class BindingForm { kScalar, kBatched };
-
 class EngineMicro : public harness::Benchmark {
  public:
-  explicit EngineMicro(BindingForm form) : form_(form) {}
-
   std::string name() const override { return "engine_micro"; }
   std::uint64_t default_items_per_thread() const override { return 8; }
   std::vector<std::uint64_t> memo_items_axis() const override { return {8, 64}; }
@@ -77,43 +70,16 @@ class EngineMicro : public harness::Benchmark {
     binding.out_dims = 1;
     binding.in_bytes = 2 * sizeof(double);
     binding.out_bytes = sizeof(double);
-    binding.gather = [](std::uint64_t i, std::span<double> in) {
+    approx::bind_gather(binding, [](std::uint64_t i, double* in) {
       in[0] = static_cast<double>(i % 13);
       in[1] = static_cast<double>((i / 13) % 7);
-    };
-    binding.accurate = [](std::uint64_t i, std::span<const double>, std::span<double> out) {
-      out[0] = region_value(i);
-    };
-    binding.accurate_cost = [](std::uint64_t) { return 64.0; };
-    binding.commit = [&out_values](std::uint64_t i, std::span<const double> out) {
+    });
+    approx::bind_accurate(binding, [](std::uint64_t i, double* out) { out[0] = region_value(i); });
+    approx::bind_constant_cost(binding, 64.0);
+    approx::bind_commit(binding, [&out_values](std::uint64_t i, const double* out) {
       out_values[i] = out[0];
-    };
-    if (form_ == BindingForm::kBatched) {
-      binding.gather_batch = [](std::uint64_t first, sim::LaneMask lanes,
-                                std::span<double> in) {
-        sim::for_each_lane(lanes, [&](int lane) {
-          const std::uint64_t i = first + static_cast<std::uint64_t>(lane);
-          in[static_cast<std::size_t>(lane) * 2 + 0] = static_cast<double>(i % 13);
-          in[static_cast<std::size_t>(lane) * 2 + 1] = static_cast<double>((i / 13) % 7);
-        });
-      };
-      binding.accurate_batch = [](std::uint64_t first, sim::LaneMask lanes,
-                                  std::span<const double>, std::span<double> out) {
-        sim::for_each_lane(lanes, [&](int lane) {
-          out[static_cast<std::size_t>(lane)] =
-              region_value(first + static_cast<std::uint64_t>(lane));
-        });
-      };
-      binding.accurate_cost_batch = [](std::uint64_t, sim::LaneMask) { return 64.0; };
-      binding.commit_batch = [&out_values](std::uint64_t first, sim::LaneMask lanes,
-                                           std::span<const double> out) {
-        sim::for_each_lane(lanes, [&](int lane) {
-          out_values[first + static_cast<std::uint64_t>(lane)] =
-              out[static_cast<std::size_t>(lane)];
-        });
-      };
-      binding.independent_items = true;
-    }
+    });
+    binding.independent_items = true;
 
     const sim::LaunchConfig launch =
         sim::launch_for_items_per_thread(n, items_per_thread, threads_per_team());
@@ -130,9 +96,6 @@ class EngineMicro : public harness::Benchmark {
   }
 
   static constexpr std::uint64_t kItems = 1u << 16;
-
- private:
-  BindingForm form_;
 };
 
 struct SweepResult {
@@ -153,8 +116,8 @@ std::vector<pragma::ApproxSpec> curated_specs() {
 }
 
 /// One sweep under the process-wide default tuning already in effect.
-SweepResult sweep_once(BindingForm form) {
-  EngineMicro bench(form);
+SweepResult sweep_once() {
+  EngineMicro bench;
   harness::Explorer explorer(bench, sim::v100());
   const std::vector<pragma::ApproxSpec> specs = curated_specs();
 
@@ -173,10 +136,10 @@ SweepResult sweep_once(BindingForm form) {
   return result;
 }
 
-SweepResult run_sweep(BindingForm form, const approx::ExecTuning& tuning) {
+SweepResult run_sweep(const approx::ExecTuning& tuning) {
   const approx::ExecTuning previous = approx::RegionExecutor::default_tuning();
   approx::RegionExecutor::set_default_tuning(tuning);
-  SweepResult result = sweep_once(form);
+  SweepResult result = sweep_once();
   approx::RegionExecutor::set_default_tuning(previous);
   return result;
 }
@@ -198,7 +161,7 @@ SweepResult run_nested(const approx::ExecTuning& inner) {
   const auto start = std::chrono::steady_clock::now();
   hpac::Scheduler::shared().parallel_for(
       shards.size(), [&](std::size_t, std::size_t s) {
-        shards[s] = sweep_once(BindingForm::kBatched);
+        shards[s] = sweep_once();
       },
       /*max_participants=*/shards.size());
   const auto stop = std::chrono::steady_clock::now();
@@ -295,9 +258,8 @@ int main(int argc, char** argv) {
   sharded.min_items = 0;
   sharded.min_teams_per_shard = 1;
 
-  const SweepResult scalar = run_sweep(BindingForm::kScalar, serial);
-  const SweepResult batched = run_sweep(BindingForm::kBatched, serial);
-  const SweepResult parallel = run_sweep(BindingForm::kBatched, sharded);
+  const SweepResult batched = run_sweep(serial);
+  const SweepResult parallel = run_sweep(sharded);
   // Nested Campaign x independent_items: serialized inner = the pre-
   // scheduler status quo; cooperative inner = stealable team shards.
   const SweepResult nested_serialized = run_nested(serial);
@@ -305,13 +267,10 @@ int main(int argc, char** argv) {
 
   const ScanBench scan = bench_iact_scan();
 
-  const bool identical = scalar.csv_text == batched.csv_text &&
-                         batched.csv_text == parallel.csv_text &&
+  const bool identical = batched.csv_text == parallel.csv_text &&
                          parallel.csv_text == nested_serialized.csv_text &&
                          nested_serialized.csv_text == nested_cooperative.csv_text &&
                          scan.identical;
-  std::printf("scalar              %.3f s  (%.3g inv/s)\n", scalar.wall_seconds,
-              scalar.invocations / scalar.wall_seconds);
   std::printf("batched             %.3f s  (%.3g inv/s)\n", batched.wall_seconds,
               batched.invocations / batched.wall_seconds);
   std::printf("sharded             %.3f s  (%.3g inv/s)\n", parallel.wall_seconds,
@@ -334,7 +293,6 @@ int main(int argc, char** argv) {
                  "{\n"
                  "  \"bench\": \"region_exec\",\n"
                  "  \"items_per_config\": %llu,\n"
-                 "  \"scalar\": {\"wall_seconds\": %.6f, \"items_per_sec\": %.6g},\n"
                  "  \"batched\": {\"wall_seconds\": %.6f, \"items_per_sec\": %.6g},\n"
                  "  \"sharded\": {\"wall_seconds\": %.6f, \"items_per_sec\": %.6g},\n"
                  "  \"nested_serialized\": {\"wall_seconds\": %.6f, \"items_per_sec\": %.6g},\n"
@@ -343,8 +301,7 @@ int main(int argc, char** argv) {
                  "\"speedup\": %.4f, \"best_level\": \"%s\"},\n"
                  "  \"paths_byte_identical\": %s\n"
                  "}\n",
-                 static_cast<unsigned long long>(EngineMicro::kItems), scalar.wall_seconds,
-                 scalar.invocations / scalar.wall_seconds, batched.wall_seconds,
+                 static_cast<unsigned long long>(EngineMicro::kItems), batched.wall_seconds,
                  batched.invocations / batched.wall_seconds, parallel.wall_seconds,
                  parallel.invocations / parallel.wall_seconds,
                  nested_serialized.wall_seconds,

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -24,31 +25,22 @@ namespace hpac::approx {
 /// struct is the library-level equivalent. One invocation corresponds to
 /// one iteration of the parallel loop the directive decorates.
 ///
-/// A binding comes in two forms, and may provide both:
+/// Every operation is batched: one call services every active lane of a
+/// warp, eliminating the per-item dispatch the paper identifies as the
+/// cost software AC must not pay. Lane `l` of the mask handles item
+/// `first_item + l`, and its per-lane data lives at offset `l * dims` in
+/// the packed buffer. Active lanes are always a subset of the warp;
+/// iterate them with `sim::for_each_lane`, or build the members from
+/// per-item callables with `bind_gather` / `bind_accurate` / `bind_cost` /
+/// `bind_constant_cost` / `bind_commit` below.
 ///
-///  * **Scalar** (`gather` / `accurate` / `accurate_cost` / `commit`):
-///    one `std::function` call per item — the original, compatibility
-///    form. The executor wraps it in an internal per-warp adapter, so
-///    scalar-only bindings keep working without code changes.
-///  * **Batched** (`gather_batch` / `accurate_batch` /
-///    `accurate_cost_batch` / `commit_batch`): one call services every
-///    active lane of a warp, eliminating the per-item dispatch the paper
-///    identifies as the cost software AC must not pay. Lane `l` of the
-///    mask handles item `first_item + l`, and its per-lane data lives at
-///    offset `l * dims` in the packed buffer. Active lanes are always a
-///    subset of the warp; iterate them with `sim::for_each_lane`.
-///
-/// When both forms are present the executor uses the batched one.
-///
-/// Warp evaluation order (both forms): the engine runs every lane's
-/// `accurate` before any lane's `commit` within a warp, so
-/// `accurate`/`gather` must not read state that `commit` writes for
-/// *other* items of the same warp. Warp-synchronous GPU code has the
-/// same constraint (lanes execute in lockstep), and no reproduced app
-/// depends on intra-warp commit-then-read ordering — but a scalar
-/// binding written against the pre-batching engine's interleaved
-/// per-lane order (e.g. a Gauss–Seidel-style in-place sweep) would
-/// observe different neighbor values and must be restructured.
+/// Warp evaluation order: the engine runs `accurate_batch` for a warp's
+/// lanes before `commit_batch` for any of them, so `gather_batch` and
+/// `accurate_batch` must not read state that `commit_batch` writes for
+/// *other* items of the same warp. Warp-synchronous GPU code has the same
+/// constraint (lanes execute in lockstep), and no reproduced app depends
+/// on intra-warp commit-then-read ordering; a Gauss–Seidel-style in-place
+/// sweep would have to be restructured.
 struct RegionBinding {
   /// Diagnostic label used in audit reports and error messages; empty is
   /// rendered as "<unnamed>".
@@ -60,33 +52,15 @@ struct RegionBinding {
   /// Doubles per item the region produces (the `out(...)` sections).
   int out_dims = 1;
 
-  // --- scalar (compatibility) form ---------------------------------------
-
-  /// Gather the item's declared inputs (required when in_dims > 0).
-  std::function<void(std::uint64_t item, std::span<double> in)> gather;
-
-  /// The accurate execution path. `in` holds gathered inputs when
-  /// in_dims > 0 and is empty otherwise (regions read their own data).
-  std::function<void(std::uint64_t item, std::span<const double> in, std::span<double> out)>
-      accurate;
-
-  /// Cycles one lane spends on the accurate path for `item`. Data-dependent
-  /// costs (e.g. CSR row length) are allowed; within a warp the SIMT cost
-  /// is the maximum over the lanes executing the path.
-  std::function<double(std::uint64_t item)> accurate_cost;
-
-  /// Commit region outputs to the application's device arrays. Called for
-  /// accurate and approximated items, not for perforated (skipped) ones.
-  std::function<void(std::uint64_t item, std::span<const double> out)> commit;
-
-  // --- batched fast path (optional) ---------------------------------------
+  // --- operations -----------------------------------------------------------
 
   /// Gather inputs for every lane in `lanes`: lane `l` handles item
   /// `first_item + l` and writes `in[l*in_dims .. l*in_dims+in_dims)`.
+  /// Required for iACT, which keys its tables on the gathered inputs.
   std::function<void(std::uint64_t first_item, sim::LaneMask lanes, std::span<double> in)>
       gather_batch;
 
-  /// Run the accurate path for every lane in `lanes`; outputs go to
+  /// Run the accurate path for every lane in `lanes` (required); outputs go to
   /// `out[l*out_dims .. l*out_dims+out_dims)`. `in` is the gathered batch
   /// buffer (empty when the region was not gathered).
   std::function<void(std::uint64_t first_item, sim::LaneMask lanes,
@@ -94,10 +68,13 @@ struct RegionBinding {
       accurate_batch;
 
   /// Max accurate-path cycles over the lanes in `lanes` (the warp's SIMT
-  /// cost). Constant-cost regions return the constant in O(1).
+  /// cost; required). Data-dependent costs (e.g. CSR row length) are
+  /// allowed; constant-cost regions return the constant in O(1).
   std::function<double(std::uint64_t first_item, sim::LaneMask lanes)> accurate_cost_batch;
 
-  /// Commit outputs for every lane in `lanes`, in ascending lane order.
+  /// Commit outputs for every lane in `lanes`, in ascending lane order
+  /// (required). Called for accurate and approximated items, not for
+  /// perforated (skipped) ones.
   std::function<void(std::uint64_t first_item, sim::LaneMask lanes,
                      std::span<const double> out)>
       commit_batch;
@@ -122,13 +99,13 @@ struct RegionBinding {
 
   // --- audit introspection (optional) --------------------------------------
 
-  /// Declare the byte intervals `commit` writes for `item`, through
+  /// Declare the byte intervals `commit_batch` writes for `item`, through
   /// `sink.writes(ptr, len)` (item-exclusive output) and
   /// `sink.commuting(ptr, len)` (shared state whose updates commute
   /// exactly, e.g. an atomic counter). The commit-conflict auditor
   /// (`ExecTuning::audit_mode`) verifies that exclusive intervals of
   /// distinct items never overlap — the property `independent_items`
-  /// asserts. The declaration must be *complete*: `commit` must write no
+  /// asserts. The declaration must be *complete*: the commit must write no
   /// bytes outside the declared intervals, since the differential re-run
   /// snapshots and restores exactly these bytes (an under-declared
   /// order-dependent write is invisible to the auditor and would survive
@@ -143,6 +120,73 @@ struct RegionBinding {
   /// it are only caught by the differential audit re-run.
   std::function<void(std::uint64_t item, audit::ExtentSink& sink)> read_extents;
 };
+
+// --- per-item binding helpers ---------------------------------------------
+//
+// Lift a per-item callable over the active lanes of a warp, in ascending
+// lane order, with lane l's packed data at offset l * dims — the batched
+// contract above. Each helper sets one batched member from
+// `fn(item, double* data)` (`const double*` for commit), so a region
+// states every operation once. Assign the binding's dims before binding.
+
+/// `gather_batch` from `fn(item, double* in)`.
+template <typename Fn>
+void bind_gather(RegionBinding& binding, Fn fn) {
+  const auto dims = static_cast<std::size_t>(binding.in_dims);
+  binding.gather_batch = [fn, dims](std::uint64_t first_item, sim::LaneMask lanes,
+                                    std::span<double> in) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      fn(first_item + static_cast<std::uint64_t>(lane),
+         in.data() + static_cast<std::size_t>(lane) * dims);
+    });
+  };
+}
+
+/// `accurate_batch` from `fn(item, double* out)`, for regions that read
+/// their own data and ignore the gathered inputs (as all bundled apps do).
+template <typename Fn>
+void bind_accurate(RegionBinding& binding, Fn fn) {
+  const auto dims = static_cast<std::size_t>(binding.out_dims);
+  binding.accurate_batch = [fn, dims](std::uint64_t first_item, sim::LaneMask lanes,
+                                      std::span<const double>, std::span<double> out) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      fn(first_item + static_cast<std::uint64_t>(lane),
+         out.data() + static_cast<std::size_t>(lane) * dims);
+    });
+  };
+}
+
+/// `commit_batch` from `fn(item, const double* out)`.
+template <typename Fn>
+void bind_commit(RegionBinding& binding, Fn fn) {
+  const auto dims = static_cast<std::size_t>(binding.out_dims);
+  binding.commit_batch = [fn, dims](std::uint64_t first_item, sim::LaneMask lanes,
+                                    std::span<const double> out) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      fn(first_item + static_cast<std::uint64_t>(lane),
+         out.data() + static_cast<std::size_t>(lane) * dims);
+    });
+  };
+}
+
+/// `accurate_cost_batch` from a data-dependent per-item cost
+/// `fn(item) -> cycles`: the warp pays the maximum over its lanes.
+template <typename Fn>
+void bind_cost(RegionBinding& binding, Fn fn) {
+  binding.accurate_cost_batch = [fn](std::uint64_t first_item, sim::LaneMask lanes) {
+    double cost = 0.0;
+    sim::for_each_lane(lanes, [&](int lane) {
+      cost = std::max(cost, fn(first_item + static_cast<std::uint64_t>(lane)));
+    });
+    return cost;
+  };
+}
+
+/// `accurate_cost_batch` for regions whose accurate path costs the same
+/// for every item (answers the warp-max query in O(1)).
+inline void bind_constant_cost(RegionBinding& binding, double cycles) {
+  binding.accurate_cost_batch = [cycles](std::uint64_t, sim::LaneMask) { return cycles; };
+}
 
 /// Execution counters produced by a region run.
 struct ExecStats {
@@ -170,6 +214,21 @@ struct ExecStats {
   /// `kEnforce` throws instead of collecting). Empty when auditing is off
   /// or the launch audited clean.
   std::vector<audit::ConflictReport> conflicts;
+
+  /// Add another run's eight item counters (`region_invocations` through
+  /// `taf_stable_entries`) to this one; `shared_bytes_per_block` and the
+  /// diagnostic fields are the caller's to fold. Integer sums commute, so
+  /// every fold order gives the same totals.
+  void add_counters(const ExecStats& other) {
+    region_invocations += other.region_invocations;
+    accurate_items += other.accurate_items;
+    approx_items += other.approx_items;
+    skipped_items += other.skipped_items;
+    forced_approx += other.forced_approx;
+    forced_accurate += other.forced_accurate;
+    iact_hits += other.iact_hits;
+    taf_stable_entries += other.taf_stable_entries;
+  }
 
   /// Fraction of covered items answered approximately (memo) or skipped
   /// (perforation) — the color scale of Figure 8c.
@@ -220,9 +279,6 @@ struct ExecTuning {
   std::uint64_t min_items = 1u << 14;
   /// Lower bound on teams per shard when splitting.
   std::uint64_t min_teams_per_shard = 4;
-  /// Testing/diagnostics: route batched bindings through the scalar
-  /// compatibility adapter (requires the scalar form to be present).
-  bool force_scalar = false;
   /// Commit-conflict auditing of `independent_items` bindings (see
   /// `hpac::approx::audit`). `kOff` leaves the dispatch path untouched;
   /// `kReport` collects findings into `ExecStats::conflicts`; `kEnforce`
@@ -268,7 +324,8 @@ class RegionExecutor {
   /// Run the region over items [0, n) with the given launch geometry.
   /// Throws hpac::ConfigError when the configuration cannot run (AC state
   /// exceeding shared memory, tables-per-warp not dividing the warp size,
-  /// iACT without uniform inputs, invalid launch).
+  /// iACT without uniform inputs or a gather, invalid launch), and
+  /// hpac::Error when a required batched operation is missing.
   RegionReport run(const pragma::ApproxSpec& spec, const RegionBinding& binding,
                    std::uint64_t n, const sim::LaunchConfig& launch) const;
 
@@ -304,8 +361,8 @@ class RegionExecutor {
 
   /// Process-wide default tuning picked up by every subsequently
   /// constructed executor — the hook tests and benches use to force the
-  /// scalar-adapter or team-parallel paths inside apps that construct
-  /// their own executors.
+  /// serial or team-parallel paths inside apps that construct their own
+  /// executors.
   static void set_default_tuning(const ExecTuning& tuning);
   static ExecTuning default_tuning();
 
@@ -323,7 +380,7 @@ class RegionExecutor {
  private:
   RegionReport run_impl(const pragma::ApproxSpec& spec, const RegionBinding& binding,
                         std::uint64_t n, const sim::LaunchConfig& launch,
-                        std::size_t ac_bytes, const pragma::PerfoParams* composed_perfo) const;
+                        const pragma::PerfoParams* composed_perfo) const;
 
   sim::DeviceConfig dev_;
   Replacement replacement_;

@@ -69,19 +69,10 @@ harness::RunOutput MiniFe::run(const pragma::ApproxSpec& spec, std::uint64_t ite
     out[0] = sum;
   };
   bind_accurate(spmv, spmv_one);
-  spmv.accurate_cost = [this](std::uint64_t row) {
+  // Row widths vary (the CSR structure), so the warp pays its widest row.
+  bind_cost(spmv, [this](std::uint64_t row) {
     return 6.0 * static_cast<double>(row_ptr_[row + 1] - row_ptr_[row]) + 10.0;
-  };
-  // Row widths vary (the CSR structure), so the batched cost is a real
-  // max over the warp's rows — not a constant_cost_lanes candidate.
-  spmv.accurate_cost_batch = [this](std::uint64_t first, sim::LaneMask lanes) {
-    double cost = 0.0;
-    sim::for_each_lane(lanes, [&](int lane) {
-      const std::uint64_t row = first + static_cast<std::uint64_t>(lane);
-      cost = std::max(cost, 6.0 * static_cast<double>(row_ptr_[row + 1] - row_ptr_[row]) + 10.0);
-    });
-    return cost;
-  };
+  });
   bind_commit(spmv, [&ap](std::uint64_t row, const double* out) { ap[row] = out[0]; });
   spmv.independent_items = true;  // reads p (stable here), writes only ap[row]
   bind_row_commit_extents(spmv, ap, 1);

@@ -71,8 +71,8 @@ class MislabeledBenchmark : public harness::Benchmark {
         out[0] = 1.0 + static_cast<double>(i % 7);
       }
     };
-    apps::bind_accurate(binding, value_one);
-    apps::bind_constant_cost(binding, 16.0);
+    approx::bind_accurate(binding, value_one);
+    approx::bind_constant_cost(binding, 16.0);
     const auto commit_one = [&cells, flaw, cell_of](std::uint64_t i, const double* out) {
       if (flaw == Flaw::kSharedCell) {
         std::atomic_ref<double>(cells[cell_of(i)]).store(out[0], std::memory_order_relaxed);
@@ -80,7 +80,7 @@ class MislabeledBenchmark : public harness::Benchmark {
         cells[cell_of(i)] = out[0];
       }
     };
-    apps::bind_commit(binding, commit_one);
+    approx::bind_commit(binding, commit_one);
     binding.independent_items = true;  // the (false, for most flaws) claim under test
     if (flaw != Flaw::kUndeclaredExtents) {
       // The extents themselves are truthful — the author knows *where*

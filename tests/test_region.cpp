@@ -34,41 +34,11 @@ struct TestRegion {
     RegionBinding b;
     b.in_dims = in_dims;
     b.out_dims = 1;
-    b.gather = [this](std::uint64_t i, std::span<double> in) {
-      in[0] = static_cast<double>(i % 7);
-    };
-    b.accurate = [this](std::uint64_t i, std::span<const double>, std::span<double> o) {
-      o[0] = f(i);
-    };
-    b.accurate_cost = [cost](std::uint64_t) { return cost; };
-    b.commit = [this](std::uint64_t i, std::span<const double> o) { out[i] = o[0]; };
+    bind_gather(b, [](std::uint64_t i, double* in) { in[0] = static_cast<double>(i % 7); });
+    bind_accurate(b, [this](std::uint64_t i, double* o) { o[0] = f(i); });
+    bind_constant_cost(b, cost);
+    bind_commit(b, [this](std::uint64_t i, const double* o) { out[i] = o[0]; });
     b.independent_items = true;  // commits touch only out[i]
-    return b;
-  }
-
-  /// The same region through the batched fast-path API.
-  RegionBinding batched_binding(double cost = 100.0, int in_dims = 1) {
-    RegionBinding b = binding(cost, in_dims);
-    const int id = std::max(1, in_dims);
-    b.gather_batch = [id](std::uint64_t first, sim::LaneMask lanes, std::span<double> in) {
-      sim::for_each_lane(lanes, [&](int lane) {
-        in[static_cast<std::size_t>(lane) * id] =
-            static_cast<double>((first + static_cast<std::uint64_t>(lane)) % 7);
-      });
-    };
-    b.accurate_batch = [this](std::uint64_t first, sim::LaneMask lanes, std::span<const double>,
-                              std::span<double> o) {
-      sim::for_each_lane(lanes, [&](int lane) {
-        o[static_cast<std::size_t>(lane)] = f(first + static_cast<std::uint64_t>(lane));
-      });
-    };
-    b.accurate_cost_batch = [cost](std::uint64_t, sim::LaneMask) { return cost; };
-    b.commit_batch = [this](std::uint64_t first, sim::LaneMask lanes,
-                            std::span<const double> o) {
-      sim::for_each_lane(lanes, [&](int lane) {
-        out[first + static_cast<std::uint64_t>(lane)] = o[static_cast<std::size_t>(lane)];
-      });
-    };
     return b;
   }
 
@@ -151,13 +121,18 @@ TEST(Region, IactExactRepeatsHitCache) {
 
 TEST(Region, IactRequiresUniformInputs) {
   TestRegion region;
-  auto binding = region.binding(100.0, 0);  // no uniform input key
-  binding.gather = nullptr;
+  auto no_key = region.binding(100.0, 0);  // no uniform input key
+  no_key.gather_batch = nullptr;
+  auto no_gather = region.binding(100.0, 1);  // a key, but nothing gathers it
+  no_gather.gather_batch = nullptr;
   RegionExecutor executor(sim::v100());
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 8, 128);
-  EXPECT_THROW(executor.run(pragma::parse_approx("memo(in:4:0.5:2) in(x) out(y)"), binding,
-                            region.n, launch),
-               ConfigError);
+  for (const RegionBinding* binding : {&no_key, &no_gather}) {
+    EXPECT_THROW(executor.run(pragma::parse_approx("memo(in:4:0.5:2) in(x) out(y)"), *binding,
+                              region.n, launch),
+                 ConfigError)
+        << "in_dims=" << binding->in_dims;
+  }
 }
 
 TEST(Region, IactTablesPerWarpMustDivideWarp) {
@@ -419,6 +394,20 @@ TEST(Composed, RejectsWrongDirectiveKinds) {
                ConfigError);
 }
 
+TEST(Composed, RejectsZeroOutputBinding) {
+  // A memo region with no outputs would reach the accurate path with an
+  // empty output buffer; the composed path must reject it as run() does.
+  TestRegion region;
+  auto binding = region.binding();
+  binding.out_dims = 0;
+  RegionExecutor executor(sim::v100());
+  const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 16, 128);
+  EXPECT_THROW(executor.run_composed(pragma::parse_approx("perfo(small:4)"),
+                                     pragma::parse_approx("memo(out:2:8:0.5)"), binding,
+                                     region.n, launch),
+               Error);
+}
+
 TEST(Composed, SkippedItemsNeverTouchAcState) {
   // With everything perforated away except one step per cycle, the memo
   // logic sees a sparser stream; outputs of skipped items stay at the
@@ -493,45 +482,46 @@ const char* kEngineClauses[] = {
     "memo(in:4:0.5:2) level(team) in(x) out(y)",
 };
 
+/// TestRegion::binding() (default cost) written directly against the
+/// batched contract, without the bind_* helpers.
+RegionBinding hand_written_batch(TestRegion& region) {
+  RegionBinding b = region.binding();
+  b.gather_batch = [](std::uint64_t first, sim::LaneMask lanes, std::span<double> in) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      in[static_cast<std::size_t>(lane)] =
+          static_cast<double>((first + static_cast<std::uint64_t>(lane)) % 7);
+    });
+  };
+  b.accurate_batch = [&region](std::uint64_t first, sim::LaneMask lanes,
+                               std::span<const double>, std::span<double> o) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      o[static_cast<std::size_t>(lane)] = region.f(first + static_cast<std::uint64_t>(lane));
+    });
+  };
+  b.accurate_cost_batch = [](std::uint64_t, sim::LaneMask) { return 100.0; };
+  b.commit_batch = [&region](std::uint64_t first, sim::LaneMask lanes,
+                             std::span<const double> o) {
+    sim::for_each_lane(lanes, [&](int lane) {
+      region.out[first + static_cast<std::uint64_t>(lane)] = o[static_cast<std::size_t>(lane)];
+    });
+  };
+  return b;
+}
+
 }  // namespace
 
-TEST(EngineDispatch, BatchedBindingMatchesScalarAdapter) {
+TEST(EngineDispatch, HelperBindingMatchesHandWrittenBatch) {
+  // The bind_* helpers lift per-item callables over a warp's lanes in
+  // ascending order; a binding written directly against the batched
+  // contract must produce the same bytes, counters and timing.
   ExecTuning serial;
   serial.max_threads = 1;
   for (const char* clause : kEngineClauses) {
     TestRegion region;
-    const EngineRun scalar = run_with_tuning(region, region.binding(), clause, serial);
-    const EngineRun batched = run_with_tuning(region, region.batched_binding(), clause, serial);
-    expect_identical(scalar, batched, clause);
+    const EngineRun helper = run_with_tuning(region, region.binding(), clause, serial);
+    const EngineRun hand = run_with_tuning(region, hand_written_batch(region), clause, serial);
+    expect_identical(helper, hand, clause);
   }
-}
-
-TEST(EngineDispatch, ForceScalarRoutesBatchedBindingThroughAdapter) {
-  ExecTuning serial;
-  serial.max_threads = 1;
-  ExecTuning forced = serial;
-  forced.force_scalar = true;
-  TestRegion region;
-  const EngineRun batched =
-      run_with_tuning(region, region.batched_binding(), "memo(out:3:8:0.5)", serial);
-  const EngineRun adapter =
-      run_with_tuning(region, region.batched_binding(), "memo(out:3:8:0.5)", forced);
-  expect_identical(batched, adapter, "force_scalar");
-}
-
-TEST(EngineDispatch, BatchOnlyBindingRuns) {
-  // A binding that provides *only* the batched form is complete.
-  TestRegion region;
-  RegionBinding b = region.batched_binding();
-  b.gather = nullptr;
-  b.accurate = nullptr;
-  b.accurate_cost = nullptr;
-  b.commit = nullptr;
-  ExecTuning serial;
-  serial.max_threads = 1;
-  const EngineRun batch_only = run_with_tuning(region, b, "memo(in:4:0.5:2) in(x) out(y)", serial);
-  const EngineRun full = run_with_tuning(region, region.binding(), "memo(in:4:0.5:2) in(x) out(y)", serial);
-  expect_identical(batch_only, full, "batch-only");
 }
 
 TEST(RegionParallel, TeamShardingIsBitIdenticalToSerial) {
@@ -578,7 +568,7 @@ TEST(RegionParallel, NonIndependentBindingStaysSerial) {
   RegionBinding b = region.binding();
   b.independent_items = false;
   double sum = 0.0;
-  b.commit = [&sum](std::uint64_t, std::span<const double> o) { sum += o[0]; };
+  bind_commit(b, [&sum](std::uint64_t, const double* o) { sum += o[0]; });
   ExecTuning tuning = forced_shards(4);
   RegionExecutor executor(sim::v100());
   executor.set_tuning(tuning);
