@@ -1,6 +1,7 @@
 #include "approx/iact.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -23,6 +24,16 @@ ScanFn select_iact_scan(int in_dims, simd::Level level) {
   }
   return nullptr;
 }
+
+LanesScan select_iact_lanes_scan(int in_dims, simd::Level level) {
+  if (level >= simd::Level::kAvx2) {
+    if (const LanesScan scan = iact_lanes_scan_avx2(in_dims); scan.fn != nullptr) return scan;
+  }
+  if (level >= simd::Level::kSse2) {
+    if (const LanesScan scan = iact_lanes_scan_sse2(in_dims); scan.fn != nullptr) return scan;
+  }
+  return {};
+}
 }  // namespace detail
 
 double euclidean_distance(std::span<const double> a, std::span<const double> b) {
@@ -42,7 +53,6 @@ IactTable::IactTable(int table_size, int in_dims, int out_dims, Replacement poli
       out_dims_(out_dims),
       policy_(policy),
       storage_(storage),
-      valid_(static_cast<std::size_t>(table_size), false),
       referenced_(static_cast<std::size_t>(table_size), false) {
   HPAC_REQUIRE(table_size >= 1, "iACT table size must be >= 1");
   HPAC_REQUIRE(in_dims >= 1, "iACT requires at least one input dimension");
@@ -50,6 +60,7 @@ IactTable::IactTable(int table_size, int in_dims, int out_dims, Replacement poli
   HPAC_REQUIRE(storage.size() >= storage_doubles(table_size, in_dims, out_dims),
                "iACT storage span too small");
   scan_fn_ = detail::select_iact_scan(in_dims_, simd::active_level());
+  lanes_scan_ = detail::select_iact_lanes_scan(in_dims_, simd::active_level());
   if (scan_fn_ != nullptr) {
     soa_.assign(static_cast<std::size_t>(table_size) * static_cast<std::size_t>(in_dims), 0.0);
   }
@@ -61,13 +72,14 @@ std::size_t IactTable::storage_doubles(int table_size, int in_dims, int out_dims
 }
 
 std::size_t IactTable::footprint_bytes(int table_size, int in_dims, int out_dims) {
-  // Entries + one validity byte and one reference byte per row + cursor.
+  // Entries + one validity byte and one reference byte per row + cursor:
+  // the modeled device layout (the host tracks validity as the slot
+  // prefix [0, valid_count_)).
   return storage_doubles(table_size, in_dims, out_dims) * sizeof(double) +
          static_cast<std::size_t>(table_size) * 2 + sizeof(std::int32_t);
 }
 
 void IactTable::reset() {
-  std::fill(valid_.begin(), valid_.end(), false);
   std::fill(referenced_.begin(), referenced_.end(), false);
   cursor_ = 0;
   valid_count_ = 0;
@@ -118,11 +130,36 @@ void IactTable::insert(std::span<const double> in, std::span<const double> out) 
   for (int d = 0; d < out_dims_; ++d) {
     storage_[row + static_cast<std::size_t>(in_dims_) + static_cast<std::size_t>(d)] = out[d];
   }
-  if (!valid_[static_cast<std::size_t>(slot)]) {
-    valid_[static_cast<std::size_t>(slot)] = true;
-    ++valid_count_;
-  }
+  // Valid entries occupy the slot prefix, so the slot just past it is
+  // the only one whose fill grows the table.
+  if (slot == valid_count_) ++valid_count_;
   referenced_[static_cast<std::size_t>(slot)] = false;
+}
+
+void IactTable::find_nearest_lanes(std::span<const double> probes, sim::LaneMask lanes,
+                                   std::span<Match> matches) const {
+  if (lanes == 0) return;
+  const auto lane_end = static_cast<std::size_t>(std::bit_width(lanes));
+  HPAC_REQUIRE(probes.size() >= lane_end * static_cast<std::size_t>(in_dims_),
+               "probe buffer smaller than the lane mask");
+  HPAC_REQUIRE(matches.size() >= lane_end, "match buffer smaller than the lane mask");
+  if (lanes_scan_.fn != nullptr && sim::popcount(lanes) >= lanes_scan_.width) {
+    detail::LanesScanArgs args;
+    args.rows = storage_.data();
+    args.row_doubles = in_dims_ + out_dims_;
+    args.valid_count = valid_count_;
+    args.in_dims = in_dims_;
+    args.probes = probes.data();
+    args.lanes = lanes;
+    args.matches = matches.data();
+    lanes_scan_.fn(args);
+    return;
+  }
+  const auto dims = static_cast<std::size_t>(in_dims_);
+  sim::for_each_lane(lanes, [&](int lane) {
+    matches[static_cast<std::size_t>(lane)] =
+        find_nearest(probes.subspan(static_cast<std::size_t>(lane) * dims, dims));
+  });
 }
 
 std::span<const double> IactTable::input_at(int index) const {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "approx/iact_scan.hpp"
+#include "sim/warp.hpp"
 
 namespace hpac::approx {
 
@@ -41,11 +42,7 @@ class IactTable {
   /// Bytes including validity/age bookkeeping.
   static std::size_t footprint_bytes(int table_size, int in_dims, int out_dims);
 
-  struct Match {
-    int index = -1;
-    double distance = std::numeric_limits<double>::infinity();
-    bool valid() const { return index >= 0; }
-  };
+  using Match = IactMatch;
 
   /// Empty the table (all entries invalidated, cursor and CLOCK bits
   /// cleared) without releasing its storage. The executor reuses one set
@@ -58,6 +55,15 @@ class IactTable {
   /// invocation (paper insight 4), so it must inline into the executor's
   /// per-lane loop.
   Match find_nearest(std::span<const double> in) const;
+
+  /// Reading phase of every lane sharing this table at once (the paper's
+  /// concurrent table search): for each lane `l` of `lanes`, write the
+  /// nearest entry to the probe `probes[l * in_dims ..]` into
+  /// `matches[l]`. Each answer is bit-identical to `find_nearest` of that
+  /// probe at every dispatch level; with enough probes to fill a vector
+  /// the lanes are probes, otherwise this loops `find_nearest`.
+  void find_nearest_lanes(std::span<const double> probes, sim::LaneMask lanes,
+                          std::span<Match> matches) const;
 
   /// Record a cache hit for CLOCK's reference bit. No-op for round-robin.
   void mark_used(int index);
@@ -91,7 +97,9 @@ class IactTable {
   /// Vector scan kernel chosen at construction from `simd::active_level()`
   /// and `in_dims`; nullptr dispatches the inline scalar scan.
   detail::ScanFn scan_fn_ = nullptr;
-  std::vector<bool> valid_;
+  /// Batched-probe kernel, chosen at construction like `scan_fn_`;
+  /// `fn == nullptr` loops the single-probe scan.
+  detail::LanesScan lanes_scan_;
   std::vector<bool> referenced_;  ///< CLOCK reference bits
   int cursor_ = 0;                ///< round-robin insert / CLOCK hand
   int valid_count_ = 0;
@@ -122,11 +130,7 @@ inline IactTable::Match IactTable::find_nearest(std::span<const double> in) cons
     args.capacity = table_size_;
     args.valid_count = valid_count_;
     args.in_dims = in_dims_;
-    const detail::ScanResult result = scan_fn_(args);
-    Match best;
-    best.index = result.index;
-    best.distance = result.distance;
-    return best;
+    return scan_fn_(args);
   }
   // The scan runs for every region invocation, so it is the single
   // hottest loop of iACT execution: compare squared distances and take a

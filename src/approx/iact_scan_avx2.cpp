@@ -29,11 +29,26 @@ struct Avx2Ops {
     return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GT_OQ)) == 0xF;
   }
   static void store(double* p, V a) { _mm256_storeu_pd(p, a); }
+  /// Lane j = base[offsets[j]] (element inserts, no store-forwarding
+  /// round trip through memory).
+  static V load_lanes(const double* base, const int* offsets) {
+    return _mm256_set_pd(base[offsets[3]], base[offsets[2]], base[offsets[1]], base[offsets[0]]);
+  }
+  static V sqrt(V a) { return _mm256_sqrt_pd(a); }
+  static V lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static bool any(V mask) { return _mm256_movemask_pd(mask) != 0; }
+  static V bit_and(V a, V b) { return _mm256_and_pd(a, b); }
+  static V select(V mask, V if_set, V if_clear) {
+    return _mm256_blendv_pd(if_clear, if_set, mask);
+  }
 };
 
 }  // namespace
 
 ScanFn iact_scan_fn_avx2(int in_dims) { return select_scan_impl<Avx2Ops>(in_dims); }
+LanesScan iact_lanes_scan_avx2(int in_dims) {
+  return select_lanes_scan_impl<Avx2Ops>(in_dims);
+}
 
 }  // namespace hpac::approx::detail
 
@@ -42,6 +57,7 @@ ScanFn iact_scan_fn_avx2(int in_dims) { return select_scan_impl<Avx2Ops>(in_dims
 namespace hpac::approx::detail {
 
 ScanFn iact_scan_fn_avx2(int) { return nullptr; }
+LanesScan iact_lanes_scan_avx2(int) { return {}; }
 
 }  // namespace hpac::approx::detail
 

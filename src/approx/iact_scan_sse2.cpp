@@ -25,11 +25,26 @@ struct Sse2Ops {
   static V add(V a, V b) { return _mm_add_pd(a, b); }
   static bool all_gt(V a, V b) { return _mm_movemask_pd(_mm_cmpgt_pd(a, b)) == 0x3; }
   static void store(double* p, V a) { _mm_storeu_pd(p, a); }
+  /// Lane j = base[offsets[j]].
+  static V load_lanes(const double* base, const int* offsets) {
+    return _mm_set_pd(base[offsets[1]], base[offsets[0]]);
+  }
+  static V sqrt(V a) { return _mm_sqrt_pd(a); }
+  static V lt(V a, V b) { return _mm_cmplt_pd(a, b); }
+  static bool any(V mask) { return _mm_movemask_pd(mask) != 0; }
+  static V bit_and(V a, V b) { return _mm_and_pd(a, b); }
+  static V select(V mask, V if_set, V if_clear) {
+    // SSE2 has no blendv; exact bitwise select via the full-width mask.
+    return _mm_or_pd(_mm_and_pd(mask, if_set), _mm_andnot_pd(mask, if_clear));
+  }
 };
 
 }  // namespace
 
 ScanFn iact_scan_fn_sse2(int in_dims) { return select_scan_impl<Sse2Ops>(in_dims); }
+LanesScan iact_lanes_scan_sse2(int in_dims) {
+  return select_lanes_scan_impl<Sse2Ops>(in_dims);
+}
 
 }  // namespace hpac::approx::detail
 
@@ -38,6 +53,7 @@ ScanFn iact_scan_fn_sse2(int in_dims) { return select_scan_impl<Sse2Ops>(in_dims
 namespace hpac::approx::detail {
 
 ScanFn iact_scan_fn_sse2(int) { return nullptr; }
+LanesScan iact_lanes_scan_sse2(int) { return {}; }
 
 }  // namespace hpac::approx::detail
 

@@ -518,6 +518,10 @@ class RunContext {
           "tables per warp (%d) must divide the warp size (%d)", tpw, warp_size_));
     }
     const int lanes_per_table = warp_size_ / tpw;
+    // Lanes of table 0; table t's are these shifted by t * lanes_per_table.
+    // full_mask, not a shift: one table per 64-lane wavefront spans the
+    // whole 64-bit mask.
+    const LaneMask table_lanes = sim::full_mask(lanes_per_table);
     const std::size_t per_table = IactTable::storage_doubles(iact.table_size, id, od);
     const Replacement replacement =
         iact.clock_replacement ? Replacement::kClock : replacement_;
@@ -551,10 +555,15 @@ class RunContext {
           const std::uint64_t first_item = item_of(team, w, 0, step);
           IactTable* warp_tables = tables_.data() + static_cast<std::size_t>(w) * tpw;
           gather_(first_item, s.active, std::span<double>(s.in));
+          // Reading phase: each table answers all of its lanes in one call.
+          for (int t = 0; t < tpw; ++t) {
+            const LaneMask lanes = s.active & (table_lanes << (t * lanes_per_table));
+            if (lanes == 0) continue;
+            warp_tables[t].find_nearest_lanes(s.in, lanes, s.match);
+          }
           LaneMask wishes = 0;
           sim::for_each_lane(s.active, [&](int lane) {
-            IactTable::Match& m = s.match[static_cast<std::size_t>(lane)];
-            m = warp_tables[lane / lanes_per_table].find_nearest(lane_in(s, lane));
+            const IactTable::Match& m = s.match[static_cast<std::size_t>(lane)];
             if (m.valid() && m.distance < iact.threshold) {
               wishes = sim::with_lane(wishes, lane);
               ++stats_.iact_hits;

@@ -39,6 +39,7 @@ struct Avx2Ops {
 
 BlackscholesBatchFn blackscholes_batch_avx2() { return &blackscholes_batch_impl<Avx2Ops>; }
 BinomialInductFn binomial_induct_avx2() { return &binomial_induct_impl<Avx2Ops>; }
+KmeansAssignFn kmeans_assign_avx2() { return &kmeans_assign_impl<Avx2Ops>; }
 
 }  // namespace hpac::apps::kernels
 
@@ -48,6 +49,7 @@ namespace hpac::apps::kernels {
 
 BlackscholesBatchFn blackscholes_batch_avx2() { return nullptr; }
 BinomialInductFn binomial_induct_avx2() { return nullptr; }
+KmeansAssignFn kmeans_assign_avx2() { return nullptr; }
 
 }  // namespace hpac::apps::kernels
 

@@ -9,7 +9,7 @@
 //
 // Bit-identity contract (the whole point): each lane executes the exact
 // operation sequence of `Blackscholes::call_price` / the binomial
-// backward-induction statement — same association, explicit mul/add
+// backward-induction statement / the kmeans distance loop — same association, explicit mul/add
 // (never FMA; these TUs are compiled without -mfma and intrinsics are
 // never contracted), and scalar libm calls (`std::log`, `std::exp`)
 // extracted per lane, since no vector math library is allowed to change
@@ -18,7 +18,10 @@
 // QoI vectors, error metrics and sweep CSV bytes — are invariant across
 // dispatch levels.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "apps/blackscholes.hpp"
 
@@ -126,6 +129,54 @@ void binomial_induct_impl(double* values, int steps, double discount, double p_u
     for (; i <= level; ++i) {
       values[i] = discount * (p_up * values[i + 1] + p_down * values[i]);
     }
+  }
+}
+
+/// Nearest centroid with lanes = centroids: lane `c` of a block
+/// accumulates `dist += diff * diff` over ascending dimensions, the scalar
+/// loop's sequence, against the dimension-major centroid matrix (dimension
+/// j of W consecutive centroids is one load). Block distances then fold in
+/// ascending `c` through the scalar strict `<`; the `k % W` remainder
+/// centroids run the scalar loop itself.
+template <typename Ops>
+void kmeans_assign_impl(const double* points, int dims, const double* centroids_t, int k,
+                        std::uint64_t lanes, double* out) {
+  using V = typename Ops::V;
+  constexpr int kW = Ops::kWidth;
+  const int vector_end = k - k % kW;
+  for (; lanes != 0; lanes &= lanes - 1) {
+    const int lane = std::countr_zero(lanes);
+    const double* point = points + static_cast<std::size_t>(lane) * dims;
+    int best = 0;
+    double best_dist = std::numeric_limits<double>::infinity();
+    for (int c = 0; c < vector_end; c += kW) {
+      V dist = Ops::broadcast(0.0);
+      for (int j = 0; j < dims; ++j) {
+        const V diff = Ops::sub(Ops::broadcast(point[j]),
+                                Ops::loadu(centroids_t + static_cast<std::size_t>(j) * k + c));
+        dist = Ops::add(dist, Ops::mul(diff, diff));
+      }
+      double lane_dist[kW];
+      Ops::storeu(lane_dist, dist);
+      for (int l = 0; l < kW; ++l) {
+        if (lane_dist[l] < best_dist) {
+          best_dist = lane_dist[l];
+          best = c + l;
+        }
+      }
+    }
+    for (int c = vector_end; c < k; ++c) {
+      double dist = 0;
+      for (int j = 0; j < dims; ++j) {
+        const double diff = point[j] - centroids_t[static_cast<std::size_t>(j) * k + c];
+        dist += diff * diff;
+      }
+      if (dist < best_dist) {
+        best_dist = dist;
+        best = c;
+      }
+    }
+    out[lane] = static_cast<double>(best);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "apps/simd_kernels.hpp"
 #include "apps/support.hpp"
 #include "common/rng.hpp"
 
@@ -88,6 +89,23 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   };
   bind_gather(binding, gather_one);
   bind_accurate(binding, assign_one);
+  // Vector fast path (lanes = centroids), resolved per run() like
+  // blackscholes'. It reads a dimension-major copy of the centroids that
+  // the Lloyd loop below refreshes once per iteration, before the launch
+  // — never inside the callback, which concurrent team shards share. Its
+  // per-lane operation order is assign_one's, so memberships are
+  // bit-identical at every dispatch level.
+  const kernels::KmeansAssignFn assign_batch = kernels::kmeans_assign_fn();
+  std::vector<double> centroids_t;
+  if (assign_batch != nullptr) {
+    centroids_t.resize(centroids.size());
+    binding.accurate_batch = [this, d, k, assign_batch, &centroids_t](
+                                 std::uint64_t first_item, sim::LaneMask lanes,
+                                 std::span<const double>, std::span<double> out) {
+      assign_batch(points_.data() + first_item * static_cast<std::uint64_t>(d), d,
+                   centroids_t.data(), k, lanes, out.data());
+    };
+  }
   bind_constant_cost(binding, 3.0 * d * k + 2.0 * k);
 
   // `changed` commutes (integer adds), so commits of different items may
@@ -117,6 +135,14 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   int iterations = 0;
   for (; iterations < params_.max_iterations; ++iterations) {
     changed = 0;
+    if (assign_batch != nullptr) {
+      for (int c = 0; c < k; ++c) {
+        for (int j = 0; j < d; ++j) {
+          centroids_t[static_cast<std::size_t>(j) * k + c] =
+              centroids[static_cast<std::size_t>(c) * d + j];
+        }
+      }
+    }
     // The approximated kernel accounts for a few percent of the per-
     // iteration time (paper: 3.5%); the membership transfer back to the
     // host and the host-side centroid update dominate, which is why the

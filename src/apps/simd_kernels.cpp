@@ -28,4 +28,15 @@ BinomialInductFn binomial_induct_fn() {
   return nullptr;
 }
 
+KmeansAssignFn kmeans_assign_fn() {
+  const simd::Level level = simd::active_level();
+  if (level >= simd::Level::kAvx2) {
+    if (KmeansAssignFn fn = kmeans_assign_avx2()) return fn;
+  }
+  if (level >= simd::Level::kSse2) {
+    if (KmeansAssignFn fn = kmeans_assign_sse2()) return fn;
+  }
+  return nullptr;
+}
+
 }  // namespace hpac::apps::kernels

@@ -4,14 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "approx/iact.hpp"
+#include "approx/region.hpp"
 #include "approx/taf.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
+#include "pragma/parser.hpp"
+#include "sim/device.hpp"
 
 using namespace hpac;
 using namespace hpac::approx;
@@ -500,4 +507,157 @@ TEST(IactProperty, FindNearestMatchesNaiveUnderHeavyEarlyAbandon) {
     ASSERT_EQ(fast.distance, naive.distance);
     EXPECT_EQ(fast.index, 15);
   }
+}
+
+// --- batched probe scan ------------------------------------------------------
+//
+// find_nearest_lanes answers every lane of one table in one call (lanes =
+// probes on the vector levels). Its contract is per-lane equality with
+// find_nearest — the reference checked against the naive scan above — on
+// the index and on every distance bit, at every dispatch level, and it
+// must leave lanes outside the mask untouched.
+
+namespace {
+
+/// Masks over a 64-entry probe buffer: empty, one lane, a short run (fewer
+/// probes than any vector width), sparse, and whole 32/64-lane warps.
+const std::vector<sim::LaneMask>& batch_masks() {
+  static const std::vector<sim::LaneMask> masks{
+      0,
+      sim::LaneMask{1} << 37,
+      sim::LaneMask{0x7},
+      sim::LaneMask{0x8421'0c30'9240'1a05},
+      sim::full_mask(32),
+      sim::full_mask(64)};
+  return masks;
+}
+
+/// Checks one table against the per-lane reference for every mask.
+void expect_lanes_match_per_lane(const IactTable& table, const std::vector<double>& probes,
+                                 const std::string& where) {
+  const auto dims = static_cast<std::size_t>(table.in_dims());
+  for (const sim::LaneMask mask : batch_masks()) {
+    IactTable::Match sentinel;
+    sentinel.index = -7;
+    sentinel.distance = -1.0;
+    std::vector<IactTable::Match> matches(64, sentinel);
+    table.find_nearest_lanes(probes, mask, matches);
+    for (int lane = 0; lane < 64; ++lane) {
+      const IactTable::Match& got = matches[static_cast<std::size_t>(lane)];
+      if (!sim::lane_active(mask, lane)) {
+        ASSERT_EQ(got.index, -7) << where << " lane " << lane << " outside the mask";
+        continue;
+      }
+      const IactTable::Match want = table.find_nearest(
+          std::span<const double>(probes).subspan(static_cast<std::size_t>(lane) * dims, dims));
+      ASSERT_EQ(got.index, want.index) << where << " mask " << mask << " lane " << lane;
+      ASSERT_EQ(0, std::memcmp(&got.distance, &want.distance, sizeof(double)))
+          << where << " mask " << mask << " lane " << lane;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(IactProperty, FindNearestLanesMatchesPerLaneFindNearestAtEveryDispatchLevel) {
+  SimdLevelGuard guard;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+  for (const hpac::simd::Level level : reachable_levels()) {
+    ASSERT_EQ(hpac::simd::set_level(level), level);
+    // 1..8 take the specialized kernels, 9 and 10 the generic one.
+    for (int in_dims = 1; in_dims <= 10; ++in_dims) {
+      for (int tsize = 1; tsize <= 9; ++tsize) {
+        for (const Replacement policy : {Replacement::kRoundRobin, Replacement::kClock}) {
+          // Partly filled, exactly full, and churned well past capacity.
+          for (const int fills : {tsize / 2, tsize, 3 * tsize + 1}) {
+            Xoshiro256 rng(static_cast<std::uint64_t>(in_dims) * 1000 + tsize * 10 + fills);
+            const auto quantized = [&rng] {
+              return 0.25 * static_cast<double>(rng.uniform_index(9));
+            };
+            TableFixture fixture;
+            IactTable table = fixture.make(tsize, in_dims, 1, policy);
+            std::vector<double> in(static_cast<std::size_t>(in_dims));
+            std::vector<double> out{0.0};
+            for (int f = 0; f < fills; ++f) {
+              for (auto& v : in) v = quantized();
+              out[0] = static_cast<double>(f);
+              table.insert(in, out);
+              if (rng.uniform_index(2) == 0) {
+                table.mark_used(static_cast<int>(rng.uniform_index(
+                    static_cast<std::uint64_t>(table.valid_count()))));
+              }
+            }
+            std::vector<double> probes(64 * static_cast<std::size_t>(in_dims));
+            for (auto& v : probes) v = quantized();
+            // Non-finite coordinates on a few lanes, including lanes that
+            // share a vector step with finite probes.
+            for (int lane : {3, 17, 40, 63}) {
+              probes[static_cast<std::size_t>(lane) * in_dims +
+                     rng.uniform_index(static_cast<std::uint64_t>(in_dims))] =
+                  special[rng.uniform_index(3)];
+            }
+            expect_lanes_match_per_lane(
+                table, probes,
+                std::string("level ") + hpac::simd::level_name(level) + " dims " +
+                    std::to_string(in_dims) + " tsize " + std::to_string(tsize) + " fills " +
+                    std::to_string(fills));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IactProperty, FindNearestLanesRejectsBuffersShorterThanTheMask) {
+  TableFixture fixture;
+  IactTable table = fixture.make(4, 2, 1);
+  std::vector<double> probes(2 * 8, 0.0);
+  std::vector<IactTable::Match> matches(8);
+  EXPECT_NO_THROW(table.find_nearest_lanes(probes, sim::full_mask(8), matches));
+  EXPECT_THROW(table.find_nearest_lanes(probes, sim::full_mask(9), matches), Error);
+  std::vector<IactTable::Match> short_matches(7);
+  EXPECT_THROW(table.find_nearest_lanes(probes, sim::full_mask(8), short_matches), Error);
+}
+
+// Engine level: on mi250x with one table per 64-lane wavefront every
+// table serves the whole warp, so the batched scan sees full 64-bit lane
+// masks. Outputs and counters must be byte-equal between the scalar
+// reference and the widest dispatch level.
+TEST(IactProperty, WavefrontWideTablesByteEqualAcrossDispatchLevels) {
+  SimdLevelGuard guard;
+  const std::uint64_t n = 1u << 14;
+  std::vector<double> inputs(n * 4);
+  Xoshiro256 rng(64);
+  for (auto& v : inputs) v = 0.25 * static_cast<double>(rng.uniform_index(12));
+  const auto run_at = [&](hpac::simd::Level level) {
+    hpac::simd::set_level(level);
+    std::vector<double> out(n, 0.0);
+    RegionBinding binding;
+    binding.in_dims = 4;
+    binding.out_dims = 1;
+    bind_gather(binding, [&](std::uint64_t i, double* in) {
+      std::memcpy(in, inputs.data() + i * 4, 4 * sizeof(double));
+    });
+    bind_accurate(binding, [&](std::uint64_t i, double* o) {
+      const double* x = inputs.data() + i * 4;
+      o[0] = x[0] * x[1] - x[2] / (1.0 + x[3]);
+    });
+    bind_constant_cost(binding, 40.0);
+    bind_commit(binding, [&out](std::uint64_t i, const double* o) { out[i] = o[0]; });
+    RegionExecutor executor(sim::mi250x());
+    const sim::LaunchConfig launch = sim::launch_for_items_per_thread(n, 4, 256);
+    const RegionReport report =
+        executor.run(pragma::parse_approx("memo(in:4:0.5:1) in(x) out(y)"), binding, n, launch);
+    return std::make_pair(out, report.stats);
+  };
+  const auto [reference, ref_stats] = run_at(hpac::simd::Level::kOff);
+  const auto [widest, wide_stats] = run_at(hpac::simd::max_runtime_level());
+  ASSERT_GT(ref_stats.iact_hits, 0u);
+  ASSERT_GT(ref_stats.accurate_items, 0u);
+  ASSERT_EQ(0, std::memcmp(reference.data(), widest.data(), n * sizeof(double)));
+  EXPECT_EQ(ref_stats.accurate_items, wide_stats.accurate_items);
+  EXPECT_EQ(ref_stats.approx_items, wide_stats.approx_items);
+  EXPECT_EQ(ref_stats.iact_hits, wide_stats.iact_hits);
+  EXPECT_EQ(ref_stats.region_invocations, wide_stats.region_invocations);
 }

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -81,10 +84,105 @@ TEST(Simd, KernelDispatchFollowsLevel) {
   simd::set_level(simd::Level::kOff);
   EXPECT_EQ(apps::kernels::blackscholes_batch_fn(), nullptr);
   EXPECT_EQ(apps::kernels::binomial_induct_fn(), nullptr);
+  EXPECT_EQ(apps::kernels::kmeans_assign_fn(), nullptr);
   const simd::Level best = simd::set_level(simd::max_runtime_level());
   if (best >= simd::Level::kSse2) {
     EXPECT_NE(apps::kernels::blackscholes_batch_fn(), nullptr);
     EXPECT_NE(apps::kernels::binomial_induct_fn(), nullptr);
+    EXPECT_NE(apps::kernels::kmeans_assign_fn(), nullptr);
+  }
+}
+
+// --- kmeans nearest-centroid kernel -----------------------------------------
+
+namespace {
+
+/// The kmeans app's scalar assignment loop over a row-major centroid
+/// matrix: ascending dimensions, strict `<` in ascending centroid order.
+int scalar_nearest(const double* point, const std::vector<double>& centroids, int dims, int k) {
+  int best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  for (int c = 0; c < k; ++c) {
+    double dist = 0;
+    for (int j = 0; j < dims; ++j) {
+      const double diff = point[j] - centroids[static_cast<std::size_t>(c) * dims + j];
+      dist += diff * diff;
+    }
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = c;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
+// Every kernel (each reachable ISA) against the scalar loop: k below,
+// at and off multiples of the vector width (5 and 7 leave remainders),
+// duplicate centroids (the first must win), tie-rich quantized data, and
+// observations with a NaN coordinate (no centroid is ever nearer, so the
+// best stays 0). Lanes outside the mask must not be written.
+TEST(Simd, KmeansAssignKernelMatchesScalarLoop) {
+  SimdLevelGuard guard;
+  for (const simd::Level level : reachable_levels()) {
+    if (level == simd::Level::kOff) continue;
+    simd::set_level(level);
+    const apps::kernels::KmeansAssignFn assign = apps::kernels::kmeans_assign_fn();
+    ASSERT_NE(assign, nullptr) << simd::level_name(level);
+    for (const int dims : {1, 3, 8}) {
+      for (const int k : {1, 2, 4, 5, 7, 8, 9}) {
+        std::uint64_t state = static_cast<std::uint64_t>(dims * 100 + k);
+        const auto quantized = [&state] {
+          state = state * 6364136223846793005ull + 1442695040888963407ull;
+          return 0.5 * static_cast<double>((state >> 33) % 7);
+        };
+        std::vector<double> centroids(static_cast<std::size_t>(k) * dims);
+        for (auto& v : centroids) v = quantized();
+        // Centroid k/2 sits apart from the rest and centroid k-1 duplicates
+        // it: observations on it tie at distance 0, the lower index wins.
+        centroids[static_cast<std::size_t>(k / 2) * dims] = 100.0;
+        for (int j = 0; j < dims; ++j) {
+          centroids[static_cast<std::size_t>(k - 1) * dims + j] =
+              centroids[static_cast<std::size_t>(k / 2) * dims + j];
+        }
+        std::vector<double> transposed(centroids.size());
+        for (int c = 0; c < k; ++c) {
+          for (int j = 0; j < dims; ++j) {
+            transposed[static_cast<std::size_t>(j) * k + c] =
+                centroids[static_cast<std::size_t>(c) * dims + j];
+          }
+        }
+        std::vector<double> points(64 * static_cast<std::size_t>(dims));
+        for (auto& v : points) v = quantized();
+        // The lanes sitting exactly on the duplicated centroid.
+        for (const int lane : {2, 33}) {
+          for (int j = 0; j < dims; ++j) {
+            points[static_cast<std::size_t>(lane) * dims + j] =
+                centroids[static_cast<std::size_t>(k / 2) * dims + j];
+          }
+        }
+        for (const int lane : {5, 40}) {
+          points[static_cast<std::size_t>(lane) * dims] = std::numeric_limits<double>::quiet_NaN();
+        }
+        const sim::LaneMask mask = ~sim::LaneMask{0} & ~(sim::LaneMask{1} << 9);
+        std::vector<double> out(64, -1.0);
+        assign(points.data(), dims, transposed.data(), k, mask, out.data());
+        for (int lane = 0; lane < 64; ++lane) {
+          if (!sim::lane_active(mask, lane)) {
+            EXPECT_EQ(out[static_cast<std::size_t>(lane)], -1.0);
+            continue;
+          }
+          const double* point = points.data() + static_cast<std::size_t>(lane) * dims;
+          ASSERT_EQ(out[static_cast<std::size_t>(lane)],
+                    static_cast<double>(scalar_nearest(point, centroids, dims, k)))
+              << simd::level_name(level) << " dims " << dims << " k " << k << " lane " << lane;
+        }
+        EXPECT_EQ(out[2], static_cast<double>(k / 2));
+        EXPECT_EQ(out[5], 0.0);
+        EXPECT_EQ(out[40], 0.0);
+      }
+    }
   }
 }
 
@@ -126,7 +224,7 @@ std::vector<double> qoi_at_level(const std::string& app_name, const char* clause
 
 TEST(SimdParity, AppQoiBitIdenticalAcrossDispatchLevels) {
   SimdLevelGuard guard;
-  // The two apps with vector batch kernels, under both the plain accurate
+  // The apps with vector batch kernels, under both the plain accurate
   // path and the memo techniques that mix approximate answers in.
   for (const char* app : {"blackscholes", "binomial_options"}) {
     for (const char* clause : {"none", "memo(out:3:8:0.5) level(warp)"}) {
@@ -143,22 +241,52 @@ TEST(SimdParity, AppQoiBitIdenticalAcrossDispatchLevels) {
   }
 }
 
+// kmeans reports its QoI as cluster labels (`qoi_labels`, with `qoi`
+// empty), so it is compared on the labels and the Lloyd iteration count,
+// under the accurate path and both memo techniques.
+TEST(SimdParity, KmeansLabelsBitIdenticalAcrossDispatchLevels) {
+  SimdLevelGuard guard;
+  for (const char* clause :
+       {"none", "memo(out:3:8:0.5) level(warp)", "memo(in:4:0.5:2) in(x) out(y)"}) {
+    const auto run_at = [clause](simd::Level level) {
+      simd::set_level(level);
+      return apps::make_benchmark("kmeans")->run(pragma::parse_approx(clause), 8, sim::v100());
+    };
+    const harness::RunOutput reference = run_at(simd::Level::kOff);
+    ASSERT_FALSE(reference.qoi_labels.empty());
+    ASSERT_GT(reference.iterations, 0);
+    for (const simd::Level level : reachable_levels()) {
+      if (level == simd::Level::kOff) continue;
+      const harness::RunOutput vectored = run_at(level);
+      EXPECT_EQ(vectored.qoi_labels, reference.qoi_labels)
+          << "'" << clause << "' at " << simd::level_name(level);
+      EXPECT_EQ(vectored.iterations, reference.iterations)
+          << "'" << clause << "' at " << simd::level_name(level);
+    }
+  }
+}
+
 namespace {
 
 /// A small Explorer sweep serialized to CSV — the byte-identity contract
 /// the harness layers rely on, exercised over the apps and techniques the
 /// SIMD layer touches (iACT scan, TAF RSD, app batch kernels). lavamd's
-/// mean-zero force outputs are the cancellation-heavy TAF case.
+/// mean-zero force outputs are the cancellation-heavy TAF case; kmeans,
+/// lulesh and leukocyte run the iACT clause (batched probe scan, and the
+/// kmeans kernel) only.
 std::string sweep_csv_at_level(simd::Level level) {
   simd::set_level(level);
   harness::ResultDb db;
-  for (const char* name : {"blackscholes", "binomial_options", "lavamd"}) {
+  const char* taf = "memo(out:3:8:0.5) level(warp)";
+  const char* iact = "memo(in:4:0.5:2) in(x) out(y)";
+  const std::vector<std::pair<const char*, std::vector<const char*>>> runs{
+      {"blackscholes", {taf, iact}}, {"binomial_options", {taf, iact}},
+      {"lavamd", {taf, iact}},       {"kmeans", {iact}},
+      {"lulesh", {iact}},            {"leukocyte", {iact}}};
+  for (const auto& [name, clauses] : runs) {
     auto app = apps::make_benchmark(name);
     harness::Explorer explorer(*app, sim::v100());
-    for (const char* clause :
-         {"memo(out:3:8:0.5) level(warp)", "memo(in:4:0.5:2) in(x) out(y)"}) {
-      explorer.run_config(pragma::parse_approx(clause), 8);
-    }
+    for (const char* clause : clauses) explorer.run_config(pragma::parse_approx(clause), 8);
     for (const auto& record : explorer.db().records()) db.add(record);
   }
   std::ostringstream os;
