@@ -1,11 +1,13 @@
 #pragma once
 
 // Shared plumbing for the figure/table reproduction benches: option
-// parsing (--device, --full, --out-dir), consistent headers, and CSV
-// persistence of each bench's result database.
+// parsing (--device, --quick, --full, --out-dir), the spec grid each
+// option selects, consistent headers, and CSV persistence of each bench's
+// result database.
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,8 +21,9 @@ namespace hpac::bench {
 
 struct Options {
   std::vector<sim::DeviceConfig> devices;  ///< platforms to evaluate
-  harness::SweepDensity density = harness::SweepDensity::kQuick;
-  bool curated_only = true;  ///< default fixed-budget sweep; --full widens
+  /// Spec grid: unset sweeps the curated fixed-budget sets (default);
+  /// --quick/--full sweep Table 2's strided/complete grid.
+  std::optional<harness::SweepDensity> density;
   std::string out_dir = "bench_results";
 };
 
@@ -30,10 +33,8 @@ inline Options parse_options(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--full") {
       opts.density = harness::SweepDensity::kFull;
-      opts.curated_only = false;
     } else if (arg == "--quick") {
       opts.density = harness::SweepDensity::kQuick;
-      opts.curated_only = false;
     } else if (arg.rfind("--device=", 0) == 0) {
       // Any preset sim::device_by_name knows, repeatable for multi-device
       // runs: --device=v100 --device=a100. Aliases of an already-selected
@@ -48,7 +49,9 @@ inline Options parse_options(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
-    } else if (arg.rfind("--out-dir=", 0) == 0) {
+    } else if (arg.rfind("--out-dir=", 0) == 0 && arg.size() > 10) {
+      // An empty --out-dir= falls through to usage: no directory can be
+      // created from it, so every CSV would be silently skipped.
       opts.out_dir = arg.substr(10);
     } else {
       std::fprintf(stderr,
@@ -63,6 +66,27 @@ inline Options parse_options(int argc, char** argv) {
     opts.devices.push_back(sim::mi250x());
   }
   return opts;
+}
+
+/// The spec grid a bench sweeps for `technique`: the curated set at
+/// `levels` by default, else Table 2's grid at the chosen density (which
+/// enumerates its own hierarchy levels).
+inline std::vector<pragma::ApproxSpec> grid(pragma::Technique technique, const Options& opts,
+                                            const sim::DeviceConfig& device,
+                                            const std::vector<pragma::HierarchyLevel>& levels) {
+  switch (technique) {
+    case pragma::Technique::kTafMemo:
+      return opts.density ? harness::taf_specs(*opts.density)
+                          : harness::curated_taf_specs(levels);
+    case pragma::Technique::kIactMemo:
+      return opts.density ? harness::iact_specs(*opts.density, device.warp_size)
+                          : harness::curated_iact_specs(device.warp_size, levels);
+    case pragma::Technique::kPerforation:
+      return opts.density ? harness::perfo_specs(*opts.density) : harness::curated_perfo_specs();
+    case pragma::Technique::kNone:
+      break;
+  }
+  throw ConfigError("no spec grid for technique " + pragma::technique_name(technique));
 }
 
 inline void print_banner(const std::string& experiment, const std::string& paper_claim) {

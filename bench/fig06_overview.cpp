@@ -45,23 +45,11 @@ int main(int argc, char** argv) {
       auto app = apps::make_benchmark(name);
       Explorer explorer(*app, device);
 
-      std::vector<pragma::ApproxSpec> taf, iact, perfo;
-      if (opts.curated_only) {
-        taf = curated_taf_specs(levels);
-        iact = curated_iact_specs(device.warp_size, levels);
-        perfo = curated_perfo_specs();
-      } else {
-        taf = taf_specs(opts.density);
-        iact = iact_specs(opts.density, device.warp_size);
-        perfo = perfo_specs(opts.density);
-      }
       const std::vector<std::uint64_t> memo_ipt =
-          opts.curated_only ? app->memo_items_axis() : items_per_thread_axis(opts.density);
-      const std::vector<std::uint64_t> perfo_ipt{1, 8};
-
-      explorer.sweep(taf, memo_ipt);
-      explorer.sweep(iact, memo_ipt);
-      explorer.sweep(perfo, perfo_ipt);
+          opts.density ? items_per_thread_axis(*opts.density) : app->memo_items_axis();
+      explorer.sweep(bench::grid(pragma::Technique::kTafMemo, opts, device, levels), memo_ipt);
+      explorer.sweep(bench::grid(pragma::Technique::kIactMemo, opts, device, levels), memo_ipt);
+      explorer.sweep(bench::grid(pragma::Technique::kPerforation, opts, device, levels), {1, 8});
 
       for (const auto& technique :
            {pragma::Technique::kPerforation, pragma::Technique::kTafMemo,
