@@ -46,25 +46,28 @@ Blackscholes::Blackscholes(Params params) : params_(params) {
     ut[i] = rng.uniform(0.1, 1.0);
   }
   const std::uint64_t n = params_.num_options;
-  spot_.resize(n);
-  strike_.resize(n);
-  rate_.resize(n);
-  volatility_.resize(n);
-  expiry_.resize(n);
+  Portfolio portfolio;
+  portfolio.spot.resize(n);
+  portfolio.strike.resize(n);
+  portfolio.rate.resize(n);
+  portfolio.volatility.resize(n);
+  portfolio.expiry.resize(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t u = i % unique;  // PARSEC-style tiling of distinct rows
-    spot_[i] = us[u];
-    strike_[i] = uk[u];
-    rate_[i] = ur[u];
-    volatility_[i] = uv[u];
-    expiry_[i] = ut[u];
+    portfolio.spot[i] = us[u];
+    portfolio.strike[i] = uk[u];
+    portfolio.rate[i] = ur[u];
+    portfolio.volatility[i] = uv[u];
+    portfolio.expiry[i] = ut[u];
   }
+  portfolio_ = std::make_shared<const Portfolio>(std::move(portfolio));
 }
 
 harness::RunOutput Blackscholes::run(const pragma::ApproxSpec& spec,
                                      std::uint64_t items_per_thread,
                                      const sim::DeviceConfig& device) {
   const std::uint64_t n = params_.num_options;
+  const Portfolio& in = *portfolio_;
   offload::Device dev(device);
   approx::RegionExecutor executor(device);
 
@@ -86,15 +89,15 @@ harness::RunOutput Blackscholes::run(const pragma::ApproxSpec& spec,
     binding.out_dims = 1;
     binding.in_bytes = 5 * sizeof(double);
     binding.out_bytes = sizeof(double);
-    const auto gather_one = [this](std::uint64_t i, double* in) {
-      in[0] = spot_[i];
-      in[1] = strike_[i];
-      in[2] = rate_[i];
-      in[3] = volatility_[i];
-      in[4] = expiry_[i];
+    const auto gather_one = [&in](std::uint64_t i, double* row) {
+      row[0] = in.spot[i];
+      row[1] = in.strike[i];
+      row[2] = in.rate[i];
+      row[3] = in.volatility[i];
+      row[4] = in.expiry[i];
     };
-    const auto price_one = [this](std::uint64_t i, double* out) {
-      out[0] = call_price(spot_[i], strike_[i], rate_[i], volatility_[i], expiry_[i]);
+    const auto price_one = [&in](std::uint64_t i, double* out) {
+      out[0] = call_price(in.spot[i], in.strike[i], in.rate[i], in.volatility[i], in.expiry[i]);
     };
     const auto commit_one = [&prices](std::uint64_t i, const double* out) {
       prices[i] = out[0];
@@ -108,21 +111,25 @@ harness::RunOutput Blackscholes::run(const pragma::ApproxSpec& spec,
     // to the per-item price_one path above and sweep CSVs are
     // dispatch-invariant.
     if (const kernels::BlackscholesBatchFn batch = kernels::blackscholes_batch_fn()) {
-      binding.accurate_batch = [this, batch](std::uint64_t first_item, sim::LaneMask lanes,
-                                             std::span<const double>, std::span<double> out) {
+      binding.accurate_batch = [&in, batch](std::uint64_t first_item, sim::LaneMask lanes,
+                                            std::span<const double>, std::span<double> out) {
+        // Only the first `count` slots are written (no per-warp fill);
+        // returning on an empty mask keeps the kernel off slots no lane
+        // wrote, which is what gcc's -Wmaybe-uninitialized needs to see.
         double s[64], k[64], r[64], v[64], t[64], p[64];
         int lane_of[64];
         int count = 0;
         sim::for_each_lane(lanes, [&](int lane) {
           const std::uint64_t i = first_item + static_cast<std::uint64_t>(lane);
-          s[count] = spot_[i];
-          k[count] = strike_[i];
-          r[count] = rate_[i];
-          v[count] = volatility_[i];
-          t[count] = expiry_[i];
+          s[count] = in.spot[i];
+          k[count] = in.strike[i];
+          r[count] = in.rate[i];
+          v[count] = in.volatility[i];
+          t[count] = in.expiry[i];
           lane_of[count] = lane;
           ++count;
         });
+        if (count == 0) return;
         batch(s, k, r, v, t, p, count);
         for (int j = 0; j < count; ++j) out[static_cast<std::size_t>(lane_of[j])] = p[j];
       };
@@ -135,12 +142,12 @@ harness::RunOutput Blackscholes::run(const pragma::ApproxSpec& spec,
     bind_row_commit_extents(binding, prices, 1);
     // Read extents too: the five per-item input rows are disjoint from the
     // committed prices, which the auditor's read/write check confirms.
-    binding.read_extents = [this](std::uint64_t i, approx::audit::ExtentSink& sink) {
-      sink.reads(spot_.data() + i, sizeof(double));
-      sink.reads(strike_.data() + i, sizeof(double));
-      sink.reads(rate_.data() + i, sizeof(double));
-      sink.reads(volatility_.data() + i, sizeof(double));
-      sink.reads(expiry_.data() + i, sizeof(double));
+    binding.read_extents = [&in](std::uint64_t i, approx::audit::ExtentSink& sink) {
+      sink.reads(in.spot.data() + i, sizeof(double));
+      sink.reads(in.strike.data() + i, sizeof(double));
+      sink.reads(in.rate.data() + i, sizeof(double));
+      sink.reads(in.volatility.data() + i, sizeof(double));
+      sink.reads(in.expiry.data() + i, sizeof(double));
     };
 
     const sim::LaunchConfig launch =

@@ -37,6 +37,7 @@ class Blackscholes : public harness::Benchmark {
   harness::RunOutput run(const pragma::ApproxSpec& spec, std::uint64_t items_per_thread,
                          const sim::DeviceConfig& device) override;
 
+  /// Forks share the immutable portfolio; run() keeps no other state.
   std::unique_ptr<harness::Benchmark> fork() const override {
     return std::make_unique<Blackscholes>(*this);
   }
@@ -48,8 +49,13 @@ class Blackscholes : public harness::Benchmark {
   const Params& params() const { return params_; }
 
  private:
+  /// The five per-option input columns (num_options rows each).
+  struct Portfolio {
+    std::vector<double> spot, strike, rate, volatility, expiry;
+  };
+
   Params params_;
-  std::vector<double> spot_, strike_, rate_, volatility_, expiry_;
+  std::shared_ptr<const Portfolio> portfolio_;
 };
 
 }  // namespace hpac::apps

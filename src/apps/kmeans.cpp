@@ -23,7 +23,7 @@ KMeans::KMeans(Params params) : params_(params) {
   // recorded source-by-source — the temporal locality TAF exploits.
   std::vector<double> centers(static_cast<std::size_t>(k) * d);
   for (auto& c : centers) c = rng.uniform(-10.0, 10.0);
-  points_.resize(n * static_cast<std::size_t>(d));
+  std::vector<double> points(n * static_cast<std::size_t>(d));
   int comp = 0;
   std::uint64_t run_left = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -33,9 +33,10 @@ KMeans::KMeans(Params params) : params_(params) {
     }
     --run_left;
     for (int j = 0; j < d; ++j) {
-      points_[i * d + j] = centers[static_cast<std::size_t>(comp) * d + j] + rng.normal();
+      points[i * d + j] = centers[static_cast<std::size_t>(comp) * d + j] + rng.normal();
     }
   }
+  points_ = std::make_shared<const std::vector<double>>(std::move(points));
 }
 
 harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t items_per_thread,
@@ -43,6 +44,7 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   const std::uint64_t n = params_.num_points;
   const int d = params_.dims;
   const int k = params_.clusters;
+  const std::vector<double>& points = *points_;
 
   offload::Device dev(device);
   approx::RegionExecutor executor(device);
@@ -51,7 +53,7 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   // Rodinia-style initialization: the first k observations seed the centroids.
   for (int c = 0; c < k; ++c) {
     for (int j = 0; j < d; ++j) {
-      centroids[static_cast<std::size_t>(c) * d + j] = points_[static_cast<std::size_t>(c) * d + j];
+      centroids[static_cast<std::size_t>(c) * d + j] = points[static_cast<std::size_t>(c) * d + j];
     }
   }
   std::vector<int> membership(n, -1);
@@ -67,17 +69,17 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   binding.out_dims = 1; // assigned cluster id
   binding.in_bytes = static_cast<std::uint32_t>(d) * sizeof(double);
   binding.out_bytes = sizeof(int);
-  const auto gather_one = [this, d](std::uint64_t i, double* in) {
-    std::memcpy(in, points_.data() + i * static_cast<std::uint64_t>(d),
+  const auto gather_one = [&points, d](std::uint64_t i, double* in) {
+    std::memcpy(in, points.data() + i * static_cast<std::uint64_t>(d),
                 static_cast<std::size_t>(d) * sizeof(double));
   };
-  const auto assign_one = [this, d, k, &centroids](std::uint64_t i, double* out) {
+  const auto assign_one = [&points, d, k, &centroids](std::uint64_t i, double* out) {
     int best = 0;
     double best_dist = std::numeric_limits<double>::infinity();
     for (int c = 0; c < k; ++c) {
       double dist = 0;
       for (int j = 0; j < d; ++j) {
-        const double diff = points_[i * d + j] - centroids[static_cast<std::size_t>(c) * d + j];
+        const double diff = points[i * d + j] - centroids[static_cast<std::size_t>(c) * d + j];
         dist += diff * diff;
       }
       if (dist < best_dist) {
@@ -99,10 +101,10 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   std::vector<double> centroids_t;
   if (assign_batch != nullptr) {
     centroids_t.resize(centroids.size());
-    binding.accurate_batch = [this, d, k, assign_batch, &centroids_t](
+    binding.accurate_batch = [&points, d, k, assign_batch, &centroids_t](
                                  std::uint64_t first_item, sim::LaneMask lanes,
                                  std::span<const double>, std::span<double> out) {
-      assign_batch(points_.data() + first_item * static_cast<std::uint64_t>(d), d,
+      assign_batch(points.data() + first_item * static_cast<std::uint64_t>(d), d,
                    centroids_t.data(), k, lanes, out.data());
     };
   }
@@ -157,7 +159,7 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
       const int c = membership[i];
       if (c < 0) continue;
       ++counts[static_cast<std::size_t>(c)];
-      for (int j = 0; j < d; ++j) sums[static_cast<std::size_t>(c) * d + j] += points_[i * d + j];
+      for (int j = 0; j < d; ++j) sums[static_cast<std::size_t>(c) * d + j] += points[i * d + j];
     }
     for (int c = 0; c < k; ++c) {
       if (counts[static_cast<std::size_t>(c)] == 0) continue;

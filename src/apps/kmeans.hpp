@@ -37,6 +37,7 @@ class KMeans : public harness::Benchmark {
   harness::RunOutput run(const pragma::ApproxSpec& spec, std::uint64_t items_per_thread,
                          const sim::DeviceConfig& device) override;
 
+  /// Forks share the immutable observations; run() keeps no other state.
   std::unique_ptr<harness::Benchmark> fork() const override {
     return std::make_unique<KMeans>(*this);
   }
@@ -45,7 +46,7 @@ class KMeans : public harness::Benchmark {
 
  private:
   Params params_;
-  std::vector<double> points_;  ///< num_points x dims, row-major
+  std::shared_ptr<const std::vector<double>> points_;  ///< num_points x dims, row-major
 };
 
 }  // namespace hpac::apps

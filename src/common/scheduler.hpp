@@ -13,9 +13,9 @@ namespace hpac {
 
 /// Process-wide work-stealing task scheduler shared by every host-side
 /// fan-out in the harness: the Explorer's configuration sweep, the
-/// Campaign's (benchmark, device) shard fan-out and the region executor's
-/// team sharding all submit to one set of workers, so inner and outer
-/// parallelism cooperate instead of carving up the cores per layer.
+/// Campaign's participants and the region executor's team sharding all
+/// submit to one set of workers, so inner and outer parallelism cooperate
+/// instead of carving up the cores per layer.
 ///
 /// Structure: each worker owns a Chase–Lev-style deque — the owner pushes
 /// and pops at the bottom (LIFO, so freshly spawned nested work stays
@@ -33,7 +33,7 @@ namespace hpac {
 /// ThreadPool wasted a core per nesting level that way). Nesting is
 /// re-entrant by construction — a body may call `parallel_for` again; the
 /// nested job's join tickets go onto the current worker's deque, where any
-/// idle worker (including one whose outer shard finished early) can steal
+/// idle worker (including one whose outer task finished early) can steal
 /// them. A thread only ever blocks waiting for indices that are actively
 /// executing on other threads, so nested joins cannot deadlock.
 class Scheduler {

@@ -1,5 +1,8 @@
 #include "harness/campaign.hpp"
 
+#include <atomic>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -25,6 +28,123 @@ std::vector<pragma::ApproxSpec> curated_specs_for(const sim::DeviceConfig& devic
   for (auto& s : curated_perfo_specs()) specs.push_back(std::move(s));
   return specs;
 }
+
+/// Hands the pending (benchmark, device) pairs of one Campaign::run to its
+/// participants: to owners in plan order, then, once none is left
+/// unowned, to helpers of the published pair with the most unclaimed
+/// tuples. Owner and helpers claim the pair's tuples from one cursor.
+class PairBoard {
+ public:
+  struct Pair {
+    std::size_t shard = 0;
+    /// Shard-relative offsets of the tuples to evaluate, in plan order.
+    /// Restored tuples never enter it.
+    std::vector<std::size_t> tuples;
+  };
+
+  /// What a participant works on next. `prototype` and `baseline` are
+  /// null for the pair's owner and the pair's published state for a
+  /// helper.
+  struct Assignment {
+    std::size_t pair = 0;
+    std::shared_ptr<const Benchmark> prototype;
+    std::shared_ptr<const BaselineSummary> baseline;
+  };
+
+  explicit PairBoard(std::vector<Pair> pairs)
+      : pairs_(std::move(pairs)), cursors_(pairs_.size()), published_(pairs_.size()) {}
+
+  /// The campaign mutex. Guards the board's pair state; Campaign::run
+  /// also holds it to fill record slots and append to the journal.
+  common::Mutex mutex;
+
+  const Pair& pair(std::size_t p) const { return pairs_[p]; }
+
+  /// The next pair to own, else the published pair with the most
+  /// unclaimed tuples to help. Waits while the only work left is behind
+  /// baselines still being computed; nullopt once nothing is left or a
+  /// participant failed. The wait holds a scheduler thread, but never
+  /// deadlocks: an owner computing its baseline joins only its own nested
+  /// launches, never a waiting participant.
+  std::optional<Assignment> next() EXCLUDES(mutex) {
+    common::UniqueMutexLock lock(mutex);
+    for (;;) {
+      if (failed_.load()) return std::nullopt;
+      if (next_owned_ < pairs_.size()) {
+        ++unpublished_;
+        return Assignment{next_owned_++, nullptr, nullptr};
+      }
+      std::size_t best = pairs_.size();
+      std::size_t most = 0;
+      for (std::size_t p = 0; p < pairs_.size(); ++p) {
+        const std::size_t left = unclaimed(p);
+        if (published_[p].prototype && left > most) {
+          best = p;
+          most = left;
+        }
+      }
+      if (best < pairs_.size()) {
+        return Assignment{best, published_[best].prototype, published_[best].baseline};
+      }
+      if (unpublished_ == 0) return std::nullopt;
+      changed_.wait(lock);
+    }
+  }
+
+  /// Owner: make the pair helpable.
+  void publish(std::size_t p, std::shared_ptr<const Benchmark> prototype,
+               std::shared_ptr<const BaselineSummary> baseline) EXCLUDES(mutex) {
+    {
+      common::MutexLock lock(mutex);
+      published_[p] = Published{std::move(prototype), std::move(baseline)};
+      --unpublished_;
+    }
+    changed_.notify_all();
+  }
+
+  /// Claim the pair's next tuple offset; nullopt once the cursor is
+  /// drained (the pair then drops its prototype and baseline) or after a
+  /// participant failed.
+  std::optional<std::size_t> next_tuple(std::size_t p) EXCLUDES(mutex) {
+    if (failed_.load()) return std::nullopt;
+    const std::size_t i = cursors_[p].fetch_add(1);
+    if (i < pairs_[p].tuples.size()) return pairs_[p].tuples[i];
+    common::MutexLock lock(mutex);
+    published_[p] = Published{};
+    return std::nullopt;
+  }
+
+  /// A participant threw: stop every claim and wake waiting helpers.
+  void fail() EXCLUDES(mutex) {
+    {
+      common::MutexLock lock(mutex);
+      failed_.store(true);
+    }
+    changed_.notify_all();
+  }
+
+ private:
+  struct Published {
+    std::shared_ptr<const Benchmark> prototype;  ///< pristine: never run, only forked
+    std::shared_ptr<const BaselineSummary> baseline;
+  };
+
+  std::size_t unclaimed(std::size_t p) const {
+    const std::size_t claimed = cursors_[p].load();
+    return claimed < pairs_[p].tuples.size() ? pairs_[p].tuples.size() - claimed : 0;
+  }
+
+  const std::vector<Pair> pairs_;
+  /// Next index into each pair's `tuples`, claimed without the mutex.
+  std::vector<std::atomic<std::size_t>> cursors_;
+  /// Set under the mutex (waiters must not miss it), read without it.
+  std::atomic<bool> failed_{false};
+  common::CondVar changed_;  ///< a pair was published, or a participant failed
+  std::size_t next_owned_ GUARDED_BY(mutex) = 0;  ///< pairs [0, next_owned_) have owners
+  std::size_t unpublished_ GUARDED_BY(mutex) = 0;  ///< owned pairs still computing a baseline
+  /// Per pair: set by publish(), cleared when its cursor is drained.
+  std::vector<Published> published_ GUARDED_BY(mutex);
+};
 
 }  // namespace
 
@@ -137,41 +257,52 @@ CampaignResult Campaign::run(ResultStore& store) {
     });
   }
 
-  // Shards that still have work; fully restored pairs never rebuild their
-  // benchmark or rerun the baseline.
-  std::vector<std::size_t> pending;
+  // Pairs that still have work, each with only its missing tuples: fully
+  // restored pairs never build their benchmark or rerun the baseline.
+  std::vector<PairBoard::Pair> pending;
+  std::size_t tuples_left = 0;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    for (std::size_t t = 0; t < shard.tuple_count; ++t) {
-      if (!done[shard.first_tuple + t]) {
-        pending.push_back(s);
-        break;
-      }
+    PairBoard::Pair pair{s, {}};
+    for (std::size_t t = 0; t < shards_[s].tuple_count; ++t) {
+      if (!done[shards_[s].first_tuple + t]) pair.tuples.push_back(t);
     }
+    tuples_left += pair.tuples.size();
+    if (!pair.tuples.empty()) pending.push_back(std::move(pair));
   }
 
-  // Two locks with disjoint jobs: `mutex` guards the shared record state
-  // and the journal, `callback_mutex` serializes on_record invocations.
-  // The callback runs with the record lock *released* — its journal row is
-  // already flushed — so a blocked callback stalls only other callbacks,
-  // never the journaling by concurrent workers. (Holding `mutex` across
-  // the callback used to deadlock exactly that pattern.)
-  common::Mutex mutex;
+  // Two locks with disjoint jobs: `board.mutex` (the campaign mutex)
+  // guards the pair board, the record slots and the journal;
+  // `callback_mutex` serializes on_record invocations. The callback runs
+  // with the campaign mutex *released* — its journal row is already
+  // flushed — so a blocked callback stalls only other callbacks, never
+  // the journaling by concurrent participants. (Holding the campaign
+  // mutex across the callback used to deadlock exactly that pattern.)
+  PairBoard board(std::move(pending));
   common::Mutex callback_mutex;
-  auto run_shard = [&](std::size_t shard_index) {
-    const Shard& shard = shards_[shard_index];
-    auto app = apps::make_benchmark(shard.benchmark);
-    Explorer explorer(*app, shard.device);  // baseline cached per (benchmark, device)
-    const std::size_t ipt_count = plan_.items_per_thread.size();
-    for (std::size_t t = 0; t < shard.tuple_count; ++t) {
-      const std::size_t index = shard.first_tuple + t;
-      if (done[index]) continue;
-      const RunRecord record = explorer.run_config((*shard.specs)[t / ipt_count],
-                                                   plan_.items_per_thread[t % ipt_count]);
+  const std::size_t ipt_count = plan_.items_per_thread.size();
+
+  auto work_on = [&](const PairBoard::Assignment& assignment) {
+    const Shard& shard = shards_[board.pair(assignment.pair).shard];
+    std::shared_ptr<const Benchmark> prototype = assignment.prototype;
+    if (!prototype) prototype = apps::make_benchmark(shard.benchmark);  // owner
+    // Every participant drives its own fork; the prototype itself never
+    // runs, so helpers can fork it while the owner evaluates.
+    const std::unique_ptr<Benchmark> app = prototype->fork();
+    HPAC_REQUIRE(app != nullptr, "campaign benchmark " + shard.benchmark + " is not forkable");
+    Explorer explorer(*app, shard.device);
+    if (assignment.baseline) {
+      explorer.seed_baseline(*assignment.baseline);
+    } else {
+      board.publish(assignment.pair, std::move(prototype),
+                    std::make_shared<const BaselineSummary>(explorer.baseline_summary()));
+    }
+    while (const std::optional<std::size_t> t = board.next_tuple(assignment.pair)) {
+      const std::size_t index = shard.first_tuple + *t;
+      const RunRecord record = explorer.run_config((*shard.specs)[*t / ipt_count],
+                                                   plan_.items_per_thread[*t % ipt_count]);
       {
-        common::MutexLock lock(mutex);
+        common::MutexLock lock(board.mutex);
         records[index] = record;
-        done[index] = 1;
         // The store flushes the journal row before publishing, so by the
         // time on_record (or any store reader) sees the record it is
         // already durable.
@@ -184,16 +315,23 @@ CampaignResult Campaign::run(ResultStore& store) {
       }
     }
   };
+  auto participate = [&] {
+    try {
+      while (const std::optional<PairBoard::Assignment> assignment = board.next()) {
+        work_on(*assignment);
+      }
+    } catch (...) {
+      board.fail();  // no participant claims another tuple
+      throw;
+    }
+  };
 
-  const std::size_t workers =
-      Scheduler::recommended_threads(plan_.num_threads, pending.size());
-  if (workers <= 1) {
-    for (const std::size_t shard_index : pending) run_shard(shard_index);
-  } else {
-    Scheduler::shared().parallel_for(
-        pending.size(), [&](std::size_t, std::size_t i) { run_shard(pending[i]); },
-        /*max_participants=*/workers);
-  }
+  // One scheduler index per participant; the scheduler rethrows the first
+  // exception once the other participants have stopped.
+  const std::size_t participants = Scheduler::recommended_threads(plan_.num_threads, tuples_left);
+  Scheduler::shared().parallel_for(
+      participants, [&](std::size_t, std::size_t) { participate(); },
+      /*max_participants=*/participants);
 
   // --- canonical assembly (plan order, independent of worker count) ---
   for (auto& record : records) {

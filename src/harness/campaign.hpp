@@ -29,8 +29,10 @@ struct CampaignPlan {
   std::function<std::vector<pragma::ApproxSpec>(const sim::DeviceConfig&)> specs_for;
   /// Launch-geometry axis, shared by every benchmark; non-empty.
   std::vector<std::uint64_t> items_per_thread{8, 64};
-  /// Worker threads for the shard fan-out: 0 = hardware concurrency,
-  /// 1 = serial.
+  /// Participants (threads) that claim pairs and tuples: 0 = hardware
+  /// concurrency, 1 = serial. More participants than (benchmark, device)
+  /// pairs still pays: a participant with no pair left to own helps the
+  /// pairs that are still running.
   std::size_t num_threads = 0;
   /// Checkpoint/result CSV. While running, completed records are appended
   /// (and flushed) here so a killed campaign loses at most the in-flight
@@ -71,16 +73,27 @@ struct CampaignResult {
 /// restartable batch job (the way the paper's harness swept 57,288
 /// configurations per benchmark over days of GPU time).
 ///
-/// Work is sharded at (benchmark, device) granularity: each shard gets a
-/// freshly constructed benchmark and its own Explorer, so the accurate
-/// baseline is computed once per pair (and never for pairs whose tuples
-/// are all restored from the checkpoint). Shards run concurrently on the
-/// process-wide work-stealing scheduler (`hpac::Scheduler`) — a worker
-/// whose shard finishes early steals team shards that nested
-/// `independent_items` region launches publish, instead of idling. Every
-/// tuple is deterministic, so the assembled database — and the final CSV —
-/// is identical regardless of worker count, and a resumed campaign ends
-/// with a CSV byte-identical to an uninterrupted one.
+/// Participants claim the (benchmark, device) pairs in plan order. The
+/// owner of a pair builds its benchmark once as a pristine prototype, runs
+/// the accurate baseline on a fork of it (never for pairs whose tuples
+/// are all restored from the checkpoint) and publishes both. Owner and
+/// helpers then claim the pair's tuples one at a time from one shared
+/// cursor. Once no pair is left unowned, an idle participant helps the
+/// published pair with the most unclaimed tuples: it forks that pair's
+/// prototype and adopts its baseline instead of rebuilding either.
+///
+/// Parallelism has to come from tuples, not from inside one tuple: region
+/// launches shard their teams over the shared scheduler, but a kmeans x
+/// mi250x TAF run at ipt 8 reports host_shards=4 yet takes 37.0 ms wall
+/// and 32.7 ms CPU against 34.4 ms serial (4-vCPU Xeon) — its ~1 ms
+/// launches finish on the calling thread before any worker wakes. So a
+/// pair that only its owner works on runs on one core, however many are
+/// idle.
+///
+/// Every tuple is deterministic, so the assembled database — and the
+/// final CSV — is identical regardless of participant count or of which
+/// participant evaluated a tuple, and a resumed campaign ends with a CSV
+/// byte-identical to an uninterrupted one.
 class Campaign {
  public:
   /// Validates the plan eagerly (unknown benchmark or device names,
@@ -90,9 +103,10 @@ class Campaign {
 
   /// Execute (or resume) the campaign against a private ResultStore on
   /// `plan.output_path`, then finalize it (canonical-order rewrite of the
-  /// journal). Propagates the first exception a shard raises after
-  /// in-flight shards drain; the checkpoint then holds every record
-  /// completed before the failure.
+  /// journal). Propagates the first exception an evaluation or on_record
+  /// raises; after it no participant claims another tuple, and once the
+  /// in-flight ones drain the checkpoint holds every record completed
+  /// before the failure.
   CampaignResult run();
 
   /// Execute (or resume) against a caller-owned store — the serving path:

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "apps/binomial.hpp"
 #include "apps/blackscholes.hpp"
@@ -235,6 +236,60 @@ TEST_P(AppSmokeSweep, EveryBenchmarkRunsEveryTechnique) {
     const auto out = bench->run(pragma::parse_approx(clause), 8, sim::v100());
     EXPECT_GT(out.timeline.end_to_end_seconds(), 0.0) << clause;
     EXPECT_GT(out.stats.region_invocations, 0u) << clause;
+  }
+}
+
+namespace {
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_bytes(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void expect_byte_equal(const harness::RunOutput& a, const harness::RunOutput& b,
+                       const std::string& what) {
+  EXPECT_TRUE(same_bytes(a.qoi, b.qoi)) << what;
+  EXPECT_TRUE(same_bytes(a.qoi_labels, b.qoi_labels)) << what;
+  EXPECT_TRUE(same_bytes(a.iterations, b.iterations)) << what;
+  EXPECT_TRUE(same_bytes(a.timeline.htod_seconds, b.timeline.htod_seconds)) << what;
+  EXPECT_TRUE(same_bytes(a.timeline.dtoh_seconds, b.timeline.dtoh_seconds)) << what;
+  EXPECT_TRUE(same_bytes(a.timeline.kernel_seconds, b.timeline.kernel_seconds)) << what;
+  EXPECT_TRUE(same_bytes(a.timeline.host_seconds, b.timeline.host_seconds)) << what;
+  const approx::ExecStats& x = a.stats;
+  const approx::ExecStats& y = b.stats;
+  EXPECT_EQ(x.region_invocations, y.region_invocations) << what;
+  EXPECT_EQ(x.accurate_items, y.accurate_items) << what;
+  EXPECT_EQ(x.approx_items, y.approx_items) << what;
+  EXPECT_EQ(x.skipped_items, y.skipped_items) << what;
+  EXPECT_EQ(x.forced_approx, y.forced_approx) << what;
+  EXPECT_EQ(x.forced_accurate, y.forced_accurate) << what;
+  EXPECT_EQ(x.iact_hits, y.iact_hits) << what;
+  EXPECT_EQ(x.taf_stable_entries, y.taf_stable_entries) << what;
+  EXPECT_EQ(x.shared_bytes_per_block, y.shared_bytes_per_block) << what;
+  EXPECT_EQ(x.host_shards, y.host_shards) << what;
+  EXPECT_EQ(x.simd_level, y.simd_level) << what;
+  EXPECT_EQ(x.conflicts.size(), y.conflicts.size()) << what;
+}
+
+}  // namespace
+
+TEST_P(AppSmokeSweep, ForkOfARunAppMatchesItsSource) {
+  // Campaign helpers fork a pair's app while other participants run
+  // theirs, and blackscholes/kmeans forks share their inputs with the
+  // source: neither the history of the source nor the fork's own runs may
+  // change a single output byte.
+  auto source = make_benchmark(GetParam());
+  for (const char* clause : {"memo(out:2:8:1.5) level(warp)", "perfo(fini:0.2)"}) {
+    const pragma::ApproxSpec spec = pragma::parse_approx(clause);
+    const harness::RunOutput before = source->run(spec, 8, sim::v100());
+    const auto fork = source->fork();
+    ASSERT_NE(fork, nullptr);
+    expect_byte_equal(before, fork->run(spec, 8, sim::v100()), std::string("fork ") + clause);
+    expect_byte_equal(before, source->run(spec, 8, sim::v100()),
+                      std::string("source after fork ran ") + clause);
   }
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -56,6 +57,34 @@ CampaignPlan tiny_plan() {
   plan.items_per_thread = {1, 8};
   plan.num_threads = 2;
   return plan;
+}
+
+/// One slow pair (kmeans) beside a cheap one (lavamd), 8 specs each: the
+/// shape whose tail idle participants help with. 2 pairs, 16 tuples.
+CampaignPlan lopsided_plan() {
+  CampaignPlan plan = tiny_plan();
+  plan.benchmarks = {"kmeans", "lavamd"};
+  plan.items_per_thread = {8};
+  plan.specs_for = [](const sim::DeviceConfig&) {
+    return std::vector<pragma::ApproxSpec>{
+        pragma::parse_approx("perfo(small:2)"),
+        pragma::parse_approx("perfo(large:4)"),
+        pragma::parse_approx("perfo(ini:0.2)"),
+        pragma::parse_approx("perfo(fini:0.3)"),
+        pragma::parse_approx("memo(out:2:8:1.5) level(warp)"),
+        pragma::parse_approx("memo(out:1:64:1.5) level(warp)"),
+        pragma::parse_approx("memo(out:3:8:0.5) level(thread)"),
+        pragma::parse_approx("memo(out:2:64:5) level(team)"),
+    };
+  };
+  return plan;
+}
+
+std::vector<std::string> lines_of(const std::string& bytes) {
+  std::vector<std::string> lines;
+  std::istringstream in(bytes);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
 }
 
 /// Two benchmarks x two devices: 4 shards, 16 tuples.
@@ -228,6 +257,122 @@ TEST(Campaign, OnRecordRunsOutsideTheRecordLock) {
       << "journaling stalled while on_record was blocked";
   EXPECT_EQ(result.evaluated, result.planned);
   std::remove(plan.output_path.c_str());
+}
+
+TEST(Campaign, IdleParticipantHelpsTheLastPair) {
+  // One pair, two participants: the first on_record refuses to return
+  // until a second data row reaches the checkpoint. Only a second thread
+  // evaluating tuples of the same pair can write it.
+  CampaignPlan plan = tiny_plan();
+  plan.num_threads = 2;
+  plan.output_path = temp_csv("helper");
+
+  const auto data_rows = [&] {
+    const std::string bytes = slurp(plan.output_path);
+    const auto newlines = std::count(bytes.begin(), bytes.end(), '\n');
+    return newlines > 0 ? newlines - 1 : 0;  // minus the header line
+  };
+  std::atomic<bool> first{true};
+  std::atomic<bool> observed_help{false};
+  plan.on_record = [&](const RunRecord&) {
+    if (!first.exchange(false)) return;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (data_rows() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) return;  // nobody helped: fail below
+      std::this_thread::yield();
+    }
+    observed_help = true;
+  };
+  const CampaignResult result = Campaign(plan).run();
+  EXPECT_TRUE(observed_help.load()) << "no second participant worked on the only pair";
+  EXPECT_EQ(result.evaluated, result.planned);
+  std::remove(plan.output_path.c_str());
+}
+
+TEST(Campaign, LopsidedPlanIsIdenticalAtEveryParticipantCount) {
+  CampaignPlan plan = lopsided_plan();
+  plan.num_threads = 1;
+  std::ostringstream serial;
+  Campaign(plan).run().db.to_csv().write(serial);
+  for (const std::size_t threads : {2u, 3u, 4u}) {
+    plan.num_threads = threads;
+    std::ostringstream parallel;
+    Campaign(plan).run().db.to_csv().write(parallel);
+    EXPECT_EQ(parallel.str(), serial.str()) << threads << " participants";
+  }
+}
+
+TEST(Campaign, ResumeFromNonContiguousCheckpointOfOnePair) {
+  // The checkpoint keeps every other kmeans row and no lavamd row, so the
+  // slow pair resumes with gaps in its tuple list while the cheap pair
+  // runs whole.
+  CampaignPlan plan = lopsided_plan();
+  plan.output_path = temp_csv("gappy_reference");
+  Campaign(plan).run();
+  const std::string reference_bytes = slurp(plan.output_path);
+
+  const std::vector<std::string> lines = lines_of(reference_bytes);
+  ASSERT_EQ(lines.size(), 17u);  // header + 16 rows, kmeans rows first
+  const std::string gappy_path = temp_csv("gappy");
+  std::size_t kept = 0;
+  {
+    std::ofstream out(gappy_path, std::ios::binary);
+    out << lines[0] << '\n';
+    for (std::size_t row = 1; row <= 8; row += 2, ++kept) out << lines[row] << '\n';
+  }
+  CampaignPlan resume_plan = lopsided_plan();
+  resume_plan.num_threads = 3;
+  resume_plan.output_path = gappy_path;
+  const CampaignResult resumed = Campaign(resume_plan).run();
+  EXPECT_EQ(resumed.restored, kept);
+  EXPECT_EQ(resumed.evaluated, resumed.planned - kept);
+  EXPECT_EQ(slurp(gappy_path), reference_bytes);
+
+  std::remove(plan.output_path.c_str());
+  std::remove(gappy_path.c_str());
+}
+
+TEST(Campaign, AThrowStopsEveryParticipantClaiming) {
+  CampaignPlan reference_plan = lopsided_plan();
+  reference_plan.output_path = temp_csv("throw_reference");
+  Campaign(reference_plan).run();
+  const std::string reference_bytes = slurp(reference_plan.output_path);
+
+  const auto fail_then_resume = [&](const std::string& stem,
+                                    std::function<void(const RunRecord&)> on_record) {
+    CampaignPlan failing = lopsided_plan();
+    failing.num_threads = 4;
+    failing.output_path = temp_csv(stem);
+    failing.on_record = std::move(on_record);
+    EXPECT_THROW(Campaign(failing).run(), std::runtime_error);
+    const std::size_t persisted = ResultDb::load(failing.output_path).size();
+
+    CampaignPlan resume_plan = lopsided_plan();
+    resume_plan.output_path = failing.output_path;
+    const CampaignResult resumed = Campaign(resume_plan).run();
+    EXPECT_EQ(resumed.restored, persisted);
+    EXPECT_EQ(slurp(resume_plan.output_path), reference_bytes);
+    std::remove(resume_plan.output_path.c_str());
+    return persisted;
+  };
+
+  // Every participant's own callback throws at its first record, so each
+  // can persist at most the one tuple it had in flight.
+  const std::size_t always = fail_then_resume(
+      "throw_always", [](const RunRecord&) { throw std::runtime_error("observer failure"); });
+  EXPECT_GE(always, 1u);
+  EXPECT_LE(always, 4u);
+
+  // Only the first callback throws: the other participants' callbacks
+  // return, and only the failure stop keeps them from running the rest.
+  std::atomic<bool> thrown{false};
+  const std::size_t once = fail_then_resume("throw_once", [&thrown](const RunRecord&) {
+    if (!thrown.exchange(true)) throw std::runtime_error("observer failure");
+  });
+  EXPECT_GE(once, 1u);
+  EXPECT_LT(once, 16u);
+
+  std::remove(reference_plan.output_path.c_str());
 }
 
 TEST(Campaign, ResumeAfterCallbackThrowSkipsThePersistedRecord) {
