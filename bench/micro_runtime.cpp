@@ -3,7 +3,7 @@
 // inserts, warp ballots, block tallies, clause parsing, the coalescing
 // model and end-to-end region-executor throughput. These are host-side
 // costs of the simulator/runtime, useful for keeping the harness fast;
-// the modeled GPU costs live in RuntimeCosts.
+// the modeled GPU costs live in RuntimeCosts (src/approx/region.cpp).
 
 #include <benchmark/benchmark.h>
 

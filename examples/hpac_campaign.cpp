@@ -35,6 +35,7 @@
 #include "approx/region.hpp"
 #include "apps/registry.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "harness/analysis.hpp"
@@ -348,6 +349,7 @@ int main(int argc, char** argv) {
     std::printf("commit-conflict audit: %s (with differential re-runs)\n",
                 approx::audit::to_string(*audit_mode));
   }
+  std::printf("%s\n", simd::describe(simd::dispatch_info()).c_str());
   if (sweep == "taf") {
     plan.specs_for = [](const sim::DeviceConfig&) {
       return harness::curated_taf_specs(harness::table2::hierarchies());

@@ -20,6 +20,7 @@
 #include "approx/region.hpp"
 #include "apps/registry.hpp"
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "common/strings.hpp"
 #include "harness/analysis.hpp"
 #include "harness/explorer.hpp"
@@ -92,6 +93,7 @@ int main(int argc, char** argv) {
     std::printf("commit-conflict audit: %s (with differential re-runs)\n",
                 approx::audit::to_string(*audit_mode));
   }
+  std::printf("%s\n", simd::describe(simd::dispatch_info()).c_str());
 
   try {
     auto app = apps::make_benchmark(benchmark);

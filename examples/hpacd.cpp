@@ -44,20 +44,19 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket=PATH [--store=FILE] [--max-pending=N]\n"
-               "          [--threads=N] [--read-only]\n\n"
+               "          [--read-only]\n\n"
                "--socket     Unix-domain socket to listen on (required)\n"
                "--store      result CSV to serve and append to (default: in-memory)\n"
                "--max-pending  admission bound for cold tuples (default 64)\n"
-               "--threads    worker bound for cold evaluations (default: hardware)\n"
                "--read-only  serve an existing --store without writing to it;\n"
                "             cold tuples answer degraded from the nearest config\n",
                argv0);
   std::exit(2);
 }
 
-std::uint64_t parse_count(const char* flag, const std::string& value, bool allow_zero) {
+std::uint64_t parse_positive(const char* flag, const std::string& value) {
   long long parsed = 0;
-  if (!strings::parse_int(value, parsed) || parsed < 0 || (!allow_zero && parsed == 0)) {
+  if (!strings::parse_int(value, parsed) || parsed <= 0) {
     std::fprintf(stderr, "error: %s needs a positive number, got \"%s\"\n", flag,
                  value.c_str());
     std::exit(2);
@@ -92,10 +91,7 @@ int main(int argc, char** argv) {
     if (auto v = value("--socket")) options.socket_path = *v;
     else if (auto v2 = value("--store")) store_path = *v2;
     else if (auto v3 = value("--max-pending")) {
-      options.service.max_pending =
-          parse_count("--max-pending", *v3, /*allow_zero=*/false);
-    } else if (auto v4 = value("--threads")) {
-      options.service.num_threads = parse_count("--threads", *v4, /*allow_zero=*/true);
+      options.service.max_pending = parse_positive("--max-pending", *v3);
     } else if (arg == "--read-only") {
       read_only = true;
     } else {

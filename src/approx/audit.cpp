@@ -100,7 +100,7 @@ void ShardLog::record_read(const RegionBinding& binding, std::uint64_t item) {
 // --- LaunchAudit -------------------------------------------------------------
 
 LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
-                         bool differential, ExtentImageCache* cache)
+                         bool differential, ExtentImageCache& cache)
     : binding_(&binding),
       name_(binding.name.empty() ? std::string("<unnamed>") : binding.name),
       differential_(differential) {
@@ -119,7 +119,7 @@ LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::siz
   // Cheap path first: a previous launch of this (binding, n) pair may have
   // walk-validated the affine extent shape, in which case three endpoint
   // probes replace the O(n) walk below.
-  if (cache != nullptr && cache->lookup(binding, n, exclusive_extents_, all_extents_)) {
+  if (cache.lookup(binding, n, exclusive_extents_, all_extents_)) {
     pre_ = take_snapshot();
     return;
   }
@@ -133,8 +133,7 @@ LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::siz
   // Fit the affine model alongside the walk so this full-price launch can
   // seed the cache. Item 0 fixes bases and lengths, item 1 fixes strides,
   // every further item only verifies — one comparison per logged entry.
-  std::optional<ExtentImageCache::Shape> shape;
-  if (cache != nullptr) shape.emplace();
+  std::optional<ExtentImageCache::Shape> shape(std::in_place);
   const auto fit_channel = [](std::vector<ExtentImageCache::AffineEntry>& model,
                               const std::vector<Entry>& log, std::size_t from,
                               std::uint64_t item) {
@@ -186,9 +185,7 @@ LaunchAudit::LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::siz
   exclusive_extents_ = merge(exclusive);
   exclusive.insert(exclusive.end(), commuting.begin(), commuting.end());
   all_extents_ = merge(std::move(exclusive));
-  if (cache != nullptr) {
-    cache->store(binding, n, std::move(shape), exclusive_extents_, all_extents_);
-  }
+  cache.store(binding, n, std::move(shape), exclusive_extents_, all_extents_);
   pre_ = take_snapshot();
 }
 

@@ -226,11 +226,11 @@ class LaunchAudit {
   /// `shards` is the launch's host-shard count (>= 1). When `differential`
   /// is set the constructor walks items [0, n) through `commit_extents`
   /// to build the union of declared intervals and snapshots its bytes —
-  /// unless `cache` (optional) serves the merged image from a previous
-  /// walk of the same (binding, n) shape, in which case only items
-  /// {0, 1, n-1} are probed.
+  /// unless `cache` serves the merged image from a previous walk of the
+  /// same (binding, n) shape, in which case only items {0, 1, n-1} are
+  /// probed.
   LaunchAudit(const RegionBinding& binding, std::uint64_t n, std::size_t shards,
-              bool differential, ExtentImageCache* cache = nullptr);
+              bool differential, ExtentImageCache& cache);
 
   /// False when the binding lacks `commit_extents`: no logging happens and
   /// `analyze()` yields a single kMissingExtents report instead.

@@ -39,6 +39,25 @@ ExecTuning& default_tuning_storage() {
   return tuning;
 }
 
+/// Cycle-cost constants of the device runtime's own operations. These are
+/// small integer estimates of instruction counts; the evaluation only
+/// relies on their relative magnitudes (e.g. an iACT table scan costs a
+/// distance computation per entry *every* invocation, while TAF's
+/// activation check is a couple of instructions).
+struct RuntimeCosts {
+  double activation_check = 2.0;      ///< TAF credit test
+  double taf_record_per_value = 3.0;  ///< window push + RSD accumulation
+  double taf_predict_per_value = 2.0; ///< shared-memory copy out
+  double iact_distance_per_dim = 3.0; ///< sub/mul/add against one entry dim
+  double iact_sqrt = 8.0;
+  double iact_insert_per_value = 2.0;
+  double ballot = 4.0;                ///< ballot + popcount
+  double barrier = 20.0;              ///< __syncthreads
+  double atomic_add = 10.0;           ///< shared-memory atomic (block tally)
+  double perfo_check = 2.0;           ///< counter/modulo predicate
+};
+constexpr RuntimeCosts kCosts{};
+
 // Team shards run on Scheduler::shared(): the same work-stealing workers
 // that drive Explorer sweeps and Campaign shards, so a nested launch's
 // shards can be stolen by whichever worker goes idle first instead of
@@ -112,15 +131,12 @@ struct WarpScratch {
 /// the launch-invariant hoisting half of the fast path.
 class RunContext {
  public:
-  RunContext(const sim::DeviceConfig& dev, Replacement replacement, const RuntimeCosts& costs,
-             const ApproxSpec& spec, const RegionBinding& binding, std::uint64_t n,
-             const sim::LaunchConfig& launch, std::size_t ac_bytes,
+  RunContext(const sim::DeviceConfig& dev, const ApproxSpec& spec, const RegionBinding& binding,
+             std::uint64_t n, const sim::LaunchConfig& launch, std::size_t ac_bytes,
              const pragma::PerfoParams* composed_perfo, std::uint64_t team_begin,
              std::uint64_t team_end, audit::ShardLog* audit_log = nullptr)
       : dev_(dev),
         composed_perfo_(composed_perfo),
-        replacement_(replacement),
-        costs_(costs),
         spec_(spec),
         binding_(binding),
         n_(n),
@@ -253,7 +269,7 @@ class RunContext {
       const auto count = static_cast<std::uint64_t>(sim::popcount(active));
       stats_.region_invocations += count;
       stats_.skipped_items += count;
-      tracker_.warp(team, w).charge_compute(costs_.perfo_check);
+      tracker_.warp(team, w).charge_compute(kCosts.perfo_check);
     }
     return true;
   }
@@ -272,7 +288,7 @@ class RunContext {
     const auto skipped = static_cast<std::uint64_t>(sim::popcount(active & ~exec));
     stats_.region_invocations += skipped;
     stats_.skipped_items += skipped;
-    ledger.charge_compute(costs_.perfo_check);
+    ledger.charge_compute(kCosts.perfo_check);
     return exec;
   }
 
@@ -336,7 +352,7 @@ class RunContext {
           sim::WarpLedger& ledger = tracker_.warp(team, w);
           const std::uint64_t first_item = item_of(team, w, 0, step);
           stats_.region_invocations += static_cast<std::uint64_t>(sim::popcount(active));
-          ledger.charge_compute(costs_.perfo_check);
+          ledger.charge_compute(kCosts.perfo_check);
 
           LaneMask exec = active;
           if (perfo.herded && !bounds_based) {
@@ -370,12 +386,12 @@ class RunContext {
 
   /// Phase-A cost of the hierarchy machinery, charged per warp.
   void charge_decision_cost(sim::WarpLedger& ledger) {
-    ledger.charge_compute(costs_.activation_check);
+    ledger.charge_compute(kCosts.activation_check);
     if (spec_.level == HierarchyLevel::kWarp) {
-      ledger.charge_compute(costs_.ballot);
+      ledger.charge_compute(kCosts.ballot);
     } else if (spec_.level == HierarchyLevel::kBlock) {
-      ledger.charge_compute(costs_.ballot + costs_.atomic_add);
-      ledger.charge_barrier(costs_.barrier);
+      ledger.charge_compute(kCosts.ballot + kCosts.atomic_add);
+      ledger.charge_barrier(kCosts.barrier);
     }
   }
 
@@ -489,11 +505,11 @@ class RunContext {
           });
           commit_(first_item, s.active, out);
           if (acc_mask != 0) {
-            acc_cost += costs_.taf_record_per_value * taf.history_size * od;
+            acc_cost += kCosts.taf_record_per_value * taf.history_size * od;
             ledger.charge_shared(static_cast<std::uint32_t>(od), dev_.shared_mem_access_cycles);
           }
           if (approx_mask != 0) {
-            approx_cost = costs_.taf_predict_per_value * od;
+            approx_cost = kCosts.taf_predict_per_value * od;
           }
           const std::array<double, 2> paths{acc_cost, approx_cost};
           ledger.charge_paths(paths);
@@ -524,7 +540,7 @@ class RunContext {
     const LaneMask table_lanes = sim::full_mask(lanes_per_table);
     const std::size_t per_table = IactTable::storage_doubles(iact.table_size, id, od);
     const Replacement replacement =
-        iact.clock_replacement ? Replacement::kClock : replacement_;
+        iact.clock_replacement ? Replacement::kClock : Replacement::kRoundRobin;
 
     // One set of warp-shared tables, reset between teams.
     const std::uint32_t table_count = warps_per_team_ * static_cast<std::uint32_t>(tpw);
@@ -573,7 +589,7 @@ class RunContext {
           // Reading phase: every invocation pays the table scan — the cost
           // iACT can never amortize (paper insight 4).
           ledger.charge_compute(iact.table_size *
-                                (id * costs_.iact_distance_per_dim + costs_.iact_sqrt));
+                                (id * kCosts.iact_distance_per_dim + kCosts.iact_sqrt));
           ledger.charge_shared(static_cast<std::uint32_t>(iact.table_size * id),
                                dev_.shared_mem_access_cycles);
           charge_item_memory(ledger, first_item, s.active, 0);
@@ -628,7 +644,7 @@ class RunContext {
           // accurate lanes (ascending, so the first strictly-farther lane
           // wins ties exactly as a per-table ascending scan would).
           if (acc_mask != 0) {
-            ledger.charge_barrier(costs_.barrier);
+            ledger.charge_barrier(kCosts.barrier);
             std::array<int, 64> writer;
             std::array<double, 64> farthest;
             for (int t = 0; t < tpw; ++t) {
@@ -650,7 +666,7 @@ class RunContext {
               if (lane < 0) continue;
               warp_tables[t].insert(lane_in(s, lane), lane_out(lane));
             }
-            acc_cost += costs_.iact_insert_per_value * (id + od);
+            acc_cost += kCosts.iact_insert_per_value * (id + od);
           }
 
           const std::array<double, 2> paths{acc_cost, approx_cost};
@@ -665,8 +681,6 @@ class RunContext {
 
   const sim::DeviceConfig& dev_;
   const pragma::PerfoParams* composed_perfo_;
-  Replacement replacement_;
-  const RuntimeCosts& costs_;
   const ApproxSpec& spec_;
   const RegionBinding& binding_;
   std::uint64_t n_;
@@ -722,11 +736,8 @@ void validate_binding(const ApproxSpec& spec, const RegionBinding& binding) {
 
 }  // namespace
 
-RegionExecutor::RegionExecutor(sim::DeviceConfig dev, Replacement replacement, RuntimeCosts costs)
-    : dev_(std::move(dev)),
-      replacement_(replacement),
-      costs_(costs),
-      tuning_(default_tuning()) {}
+RegionExecutor::RegionExecutor(sim::DeviceConfig dev)
+    : dev_(std::move(dev)), tuning_(default_tuning()) {}
 
 void RegionExecutor::set_default_tuning(const ExecTuning& tuning) {
   common::MutexLock lock(tuning_mutex());
@@ -738,10 +749,10 @@ ExecTuning RegionExecutor::default_tuning() {
   return default_tuning_storage();
 }
 
-void RegionExecutor::set_default_audit(audit::AuditMode mode, bool differential) {
+void RegionExecutor::set_default_audit(audit::AuditMode mode) {
   common::MutexLock lock(tuning_mutex());
   default_tuning_storage().audit_mode = mode;
-  default_tuning_storage().audit_differential = differential;
+  default_tuning_storage().audit_differential = true;
 }
 
 std::size_t RegionExecutor::ac_state_bytes_per_block(const pragma::ApproxSpec& spec,
@@ -805,8 +816,7 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
   // raced on. Fully inert when audit_mode == kOff: not even constructed.
   std::optional<audit::LaunchAudit> auditor;
   if (tuning_.audit_mode != audit::AuditMode::kOff && binding.independent_items && n > 0) {
-    auditor.emplace(binding, n, shards, tuning_.audit_differential,
-                    tuning_.audit_extent_cache ? &audit_extent_cache_ : nullptr);
+    auditor.emplace(binding, n, shards, tuning_.audit_differential, audit_extent_cache_);
     if (auditor->missing_extents() && tuning_.audit_mode == audit::AuditMode::kEnforce) {
       throw ConfigError(std::string(audit::kConflictToken) + " audit: binding '" +
                         auditor->binding_name() +
@@ -820,8 +830,8 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
 
   RegionReport report;
   if (shards <= 1) {
-    RunContext ctx(dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes,
-                   composed_perfo, 0, teams, shard_log(0));
+    RunContext ctx(dev_, spec, binding, n, launch, ac_bytes, composed_perfo, 0, teams,
+                   shard_log(0));
     ctx.execute_body();
     report = ctx.finalize_report();
     report.stats.host_shards = 1;
@@ -835,9 +845,9 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
     std::uint64_t begin = 0;
     for (std::size_t s = 0; s < shards; ++s) {
       const std::uint64_t length = per_shard + (s < extra ? 1 : 0);
-      shard_ctxs.push_back(std::make_unique<RunContext>(
-          dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes, composed_perfo,
-          begin, begin + length, shard_log(s)));
+      shard_ctxs.push_back(std::make_unique<RunContext>(dev_, spec, binding, n, launch,
+                                                        ac_bytes, composed_perfo, begin,
+                                                        begin + length, shard_log(s)));
       begin += length;
     }
     Scheduler::shared().parallel_for(
@@ -881,8 +891,8 @@ RegionReport RegionExecutor::run_impl(const pragma::ApproxSpec& spec,
       for (std::uint64_t s = diff_shards; s-- > 0;) {
         const std::uint64_t begin = s * per_shard + std::min<std::uint64_t>(s, extra);
         const std::uint64_t length = per_shard + (s < extra ? 1 : 0);
-        RunContext ctx(dev_, replacement_, costs_, spec, binding, n, launch, ac_bytes,
-                       composed_perfo, begin, begin + length);
+        RunContext ctx(dev_, spec, binding, n, launch, ac_bytes, composed_perfo, begin,
+                       begin + length);
         ctx.execute_body();
       }
       auditor->compare_with(after);

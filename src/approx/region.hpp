@@ -245,24 +245,6 @@ struct RegionReport {
   ExecStats stats;
 };
 
-/// Cycle-cost constants of the device runtime's own operations. These are
-/// small integer estimates of instruction counts; the evaluation only
-/// relies on their relative magnitudes (e.g. an iACT table scan costs a
-/// distance computation per entry *every* invocation, while TAF's
-/// activation check is a couple of instructions).
-struct RuntimeCosts {
-  double activation_check = 2.0;      ///< TAF credit test
-  double taf_record_per_value = 3.0;  ///< window push + RSD accumulation
-  double taf_predict_per_value = 2.0; ///< shared-memory copy out
-  double iact_distance_per_dim = 3.0; ///< sub/mul/add against one entry dim
-  double iact_sqrt = 8.0;
-  double iact_insert_per_value = 2.0;
-  double ballot = 4.0;                ///< ballot + popcount
-  double barrier = 20.0;              ///< __syncthreads
-  double atomic_add = 10.0;           ///< shared-memory atomic (block tally)
-  double perfo_check = 2.0;           ///< counter/modulo predicate
-};
-
 /// Knobs of the executor's team-sharded host parallelism. Sharding only
 /// ever changes wall-clock time, never results: a launch is split into
 /// contiguous team ranges, each executed exactly as the serial engine
@@ -290,11 +272,6 @@ struct ExecTuning {
   /// see. Roughly doubles the cost of audited launches; application
   /// state is restored afterwards, so results are unchanged.
   bool audit_differential = false;
-  /// Memoize the merged extent image differential audits build (see
-  /// `audit::ExtentImageCache`): repeated launches of the same (binding,
-  /// n) pair probe three items instead of walking all of them. Off →
-  /// every audited launch rebuilds its image exactly as before.
-  bool audit_extent_cache = true;
 };
 
 /// Executes an annotated region over a 1-D iteration space on the
@@ -317,9 +294,7 @@ struct ExecTuning {
 /// bit-identical to serial execution either way.
 class RegionExecutor {
  public:
-  explicit RegionExecutor(sim::DeviceConfig dev,
-                          Replacement replacement = Replacement::kRoundRobin,
-                          RuntimeCosts costs = RuntimeCosts{});
+  explicit RegionExecutor(sim::DeviceConfig dev);
 
   /// Run the region over items [0, n) with the given launch geometry.
   /// Throws hpac::ConfigError when the configuration cannot run (AC state
@@ -367,12 +342,13 @@ class RegionExecutor {
   static ExecTuning default_tuning();
 
   /// Convenience for the CLIs' `--audit` flag: clone the current default
-  /// tuning, set the audit knobs, reinstall. Every executor constructed
-  /// afterwards (the registry apps build their own) runs audited.
-  static void set_default_audit(audit::AuditMode mode, bool differential = true);
+  /// tuning, set `mode` with differential re-runs, reinstall. Every
+  /// executor constructed afterwards (the registry apps build their own)
+  /// runs audited.
+  static void set_default_audit(audit::AuditMode mode);
 
   /// Extent-image memoization counters of this executor's differential
-  /// audits (hits = O(n) walks skipped).
+  /// audits (hits = O(n) walks skipped; see `audit::ExtentImageCache`).
   audit::ExtentImageCache::Stats audit_cache_stats() const {
     return audit_extent_cache_.stats();
   }
@@ -383,8 +359,6 @@ class RegionExecutor {
                         const pragma::PerfoParams* composed_perfo) const;
 
   sim::DeviceConfig dev_;
-  Replacement replacement_;
-  RuntimeCosts costs_;
   ExecTuning tuning_;
   /// Mutable because `run()` is const (launching does not change what the
   /// executor computes) while the cache learns shapes as launches go by.

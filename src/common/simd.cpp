@@ -42,12 +42,13 @@ Level clamp_to_runtime(Level level) {
 struct Resolution {
   Level level = Level::kOff;
   bool env_override = false;
+  std::optional<std::string> unrecognised;
 };
 
 /// One-time HPAC_SIMD resolution. Unknown spellings are ignored (the
-/// default wins) rather than fatal: the override is a perf knob, and a
-/// typo silently running the default is caught by the diagnostics the
-/// CLIs print, while a crash would take the whole sweep down.
+/// default wins) rather than fatal: the override is a perf knob, and the
+/// `describe()` line hpac_explore and hpac_campaign print names a typo,
+/// while a crash would take the whole sweep down.
 Resolution resolve_from_env() {
   Resolution r;
   r.level = runtime_level();
@@ -63,6 +64,8 @@ Resolution resolve_from_env() {
   } else if (text == "avx2") {
     r.level = clamp_to_runtime(Level::kAvx2);
     r.env_override = true;
+  } else {
+    r.unrecognised = std::string(text);
   }
   return r;
 }
@@ -109,7 +112,17 @@ DispatchInfo dispatch_info() {
   info.max_runtime = runtime_level();
   info.max_compiled = compiled_level();
   info.env_override = startup_resolution().env_override;
+  info.env_unrecognised = startup_resolution().unrecognised;
   return info;
+}
+
+std::string describe(const DispatchInfo& info) {
+  std::string line = std::string("simd: ") + level_name(info.active);
+  if (info.env_unrecognised) {
+    line += " (HPAC_SIMD=\"" + *info.env_unrecognised +
+            "\" not recognised; using the widest level)";
+  }
+  return line;
 }
 
 }  // namespace hpac::simd

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 namespace hpac::simd {
 
@@ -54,7 +56,14 @@ struct DispatchInfo {
   Level max_runtime = Level::kOff;
   Level max_compiled = Level::kOff;
   bool env_override = false;  ///< HPAC_SIMD was set and parsed
+  /// HPAC_SIMD's value when it was set but not recognised (and ignored).
+  std::optional<std::string> env_unrecognised;
 };
 DispatchInfo dispatch_info();
+
+/// The one-line diagnostic the CLIs print: "simd: <active level>", plus a
+/// note naming an HPAC_SIMD value that was not recognised, e.g.
+/// `simd: avx2 (HPAC_SIMD="avx" not recognised; using the widest level)`.
+std::string describe(const DispatchInfo& info);
 
 }  // namespace hpac::simd

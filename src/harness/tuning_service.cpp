@@ -304,7 +304,7 @@ RunRecord TuningService::evaluate(const Pending& pending) {
     record = it->second->explorer
                  ->measure_configs({ConfigRequest{pending.spec,
                                                   pending.query.items_per_thread}},
-                                   config_.num_threads)
+                                   /*num_threads=*/1)
                  .front();
   }
   // Canonical identity regardless of what the evaluator filled in, so the

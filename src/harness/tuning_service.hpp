@@ -62,8 +62,9 @@ struct TuningServiceConfig {
   /// the nearest known config (kDegraded) — or kRejected when the store
   /// knows nothing useful — instead of queued.
   std::size_t max_pending = 64;
-  /// Worker bound for Explorer::measure_configs on cold evaluations
-  /// (0 = hardware concurrency).
+  /// Has no effect: each cold evaluation measures one config, so there
+  /// is nothing to fan out across workers. Kept so callers that set it
+  /// still compile.
   std::size_t num_threads = 0;
   /// Evaluation retry budget per tuple: a tuple whose evaluation throws
   /// is retried on later demand up to this many total attempts, then

@@ -351,12 +351,6 @@ struct CacheRegion {
   std::function<std::uint64_t(std::uint64_t)> index_of_;
 };
 
-approx::ExecTuning cache_tuning(bool extent_cache = true) {
-  approx::ExecTuning tuning = serial_audit(AuditMode::kReport, true);
-  tuning.audit_extent_cache = extent_cache;
-  return tuning;
-}
-
 void run_once(const approx::RegionExecutor& executor, CacheRegion& region,
               const approx::RegionBinding& binding) {
   const sim::LaunchConfig launch = sim::launch_for_items_per_thread(region.n, 1, 128);
@@ -373,7 +367,7 @@ void run_once(const approx::RegionExecutor& executor, CacheRegion& region,
 TEST(AuditExtentCache, RepeatedLaunchSkipsTheWalk) {
   CacheRegion region;
   approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
+  executor.set_tuning(serial_audit(AuditMode::kReport, true));
   const approx::RegionBinding binding = region.binding();
 
   run_once(executor, region, binding);
@@ -401,7 +395,7 @@ TEST(AuditExtentCache, NegativeStrideIsAffineToo) {
   CacheRegion region;
   const std::uint64_t n = region.n;
   approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
+  executor.set_tuning(serial_audit(AuditMode::kReport, true));
   // Reversal: base = &out[n-1], per-item displacement -sizeof(double) in
   // wrapping address arithmetic.
   const approx::RegionBinding binding =
@@ -418,7 +412,7 @@ TEST(AuditExtentCache, NegativeStrideIsAffineToo) {
 TEST(AuditExtentCache, PingPongBuffersOccupySeparateVariants) {
   CacheRegion region;
   approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
+  executor.set_tuning(serial_audit(AuditMode::kReport, true));
   const approx::RegionBinding binding = region.binding();
 
   // First lap over each buffer walks; every later lap probes and hits.
@@ -435,7 +429,7 @@ TEST(AuditExtentCache, NonAffinePatternIsNeverServedFromCache) {
   CacheRegion region;
   const std::uint64_t n = region.n;
   approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning());
+  executor.set_tuning(serial_audit(AuditMode::kReport, true));
   // Piecewise-affine permutation (even items first): item 2 breaks the
   // stride fixed by items 0 and 1, so no single affine model fits.
   const approx::RegionBinding binding = region.binding(
@@ -447,20 +441,6 @@ TEST(AuditExtentCache, NonAffinePatternIsNeverServedFromCache) {
   EXPECT_EQ(stats.misses, 2u);  // rebuilt exactly, per launch
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.non_affine, 2u);
-}
-
-TEST(AuditExtentCache, KnobOffLeavesTheCacheUntouched) {
-  CacheRegion region;
-  approx::RegionExecutor executor(sim::v100());
-  executor.set_tuning(cache_tuning(/*extent_cache=*/false));
-  const approx::RegionBinding binding = region.binding();
-
-  run_once(executor, region, binding);
-  run_once(executor, region, binding);
-  const auto stats = executor.audit_cache_stats();
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.non_affine, 0u);
 }
 
 }  // namespace

@@ -68,6 +68,15 @@ TEST(Simd, DispatchInfoIsInternallyConsistent) {
 #endif
 }
 
+TEST(Simd, DescribeNamesTheLevelAndAnUnrecognisedValue) {
+  simd::DispatchInfo info;
+  info.active = simd::Level::kSse2;
+  EXPECT_EQ(simd::describe(info), "simd: sse2");
+  info.env_unrecognised = "avx";
+  EXPECT_EQ(simd::describe(info),
+            "simd: sse2 (HPAC_SIMD=\"avx\" not recognised; using the widest level)");
+}
+
 TEST(Simd, SetLevelClampsToRuntimeMaxAndRoundTrips) {
   SimdLevelGuard guard;
   // Asking for more than the host has degrades to the widest available.
