@@ -209,7 +209,9 @@ int run_distributed(const harness::Campaign& campaign, const std::string& dist_d
 
   if (workers > 1) {
     // Fork a local fleet: each child is a full worker process with its own
-    // journal; the parent waits and merges.
+    // journal; the parent waits and merges. Flush first, or every child
+    // inherits (and may print again) the unflushed banner.
+    std::fflush(stdout);
     std::vector<pid_t> pids;
     for (std::uint64_t i = 0; i < workers; ++i) {
       const pid_t pid = ::fork();
@@ -222,6 +224,9 @@ int run_distributed(const harness::Campaign& campaign, const std::string& dist_d
           std::printf("  worker %s: %zu evaluated, %zu restored, %zu reclaimed\n",
                       child_opt.worker.c_str(), stats.evaluated, stats.restored,
                       stats.reclaimed);
+          // _Exit skips stdio's exit-time flush; a piped or redirected
+          // stdout would lose the summary.
+          std::fflush(stdout);
           std::_Exit(0);
         } catch (const std::exception& e) {
           std::fprintf(stderr, "worker %llu failed: %s\n",

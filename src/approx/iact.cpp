@@ -1,6 +1,7 @@
 #include "approx/iact.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -11,27 +12,18 @@ namespace hpac::approx {
 
 namespace detail {
 void throw_probe_mismatch() { throw Error("probe dimensionality mismatch"); }
+void throw_insert_mismatch() { throw Error("insert input or output size mismatch"); }
 
-ScanFn select_iact_scan(int in_dims, simd::Level level) {
+IactKernels select_iact_kernels(int in_dims, simd::Level level) {
   // Widest-first with fall-through: a level whose TU was not compiled
   // (or a non-x86 host) degrades to the next narrower ISA, and kOff
-  // always dispatches the scalar reference scan.
+  // always keeps the scalar reference paths.
   if (level >= simd::Level::kAvx2) {
-    if (ScanFn fn = iact_scan_fn_avx2(in_dims)) return fn;
+    if (const IactKernels kernels = iact_kernels_avx2(in_dims); kernels.lanes.fn != nullptr) {
+      return kernels;
+    }
   }
-  if (level >= simd::Level::kSse2) {
-    if (ScanFn fn = iact_scan_fn_sse2(in_dims)) return fn;
-  }
-  return nullptr;
-}
-
-LanesScan select_iact_lanes_scan(int in_dims, simd::Level level) {
-  if (level >= simd::Level::kAvx2) {
-    if (const LanesScan scan = iact_lanes_scan_avx2(in_dims); scan.fn != nullptr) return scan;
-  }
-  if (level >= simd::Level::kSse2) {
-    if (const LanesScan scan = iact_lanes_scan_sse2(in_dims); scan.fn != nullptr) return scan;
-  }
+  if (level >= simd::Level::kSse2) return iact_kernels_sse2(in_dims);
   return {};
 }
 }  // namespace detail
@@ -53,17 +45,13 @@ IactTable::IactTable(int table_size, int in_dims, int out_dims, Replacement poli
       out_dims_(out_dims),
       policy_(policy),
       storage_(storage),
-      referenced_(static_cast<std::size_t>(table_size), false) {
+      lanes_scan_(detail::select_iact_kernels(in_dims, simd::active_level()).lanes) {
   HPAC_REQUIRE(table_size >= 1, "iACT table size must be >= 1");
   HPAC_REQUIRE(in_dims >= 1, "iACT requires at least one input dimension");
   HPAC_REQUIRE(out_dims >= 1, "iACT requires at least one output dimension");
   HPAC_REQUIRE(storage.size() >= storage_doubles(table_size, in_dims, out_dims),
                "iACT storage span too small");
-  scan_fn_ = detail::select_iact_scan(in_dims_, simd::active_level());
-  lanes_scan_ = detail::select_iact_lanes_scan(in_dims_, simd::active_level());
-  if (scan_fn_ != nullptr) {
-    soa_.assign(static_cast<std::size_t>(table_size) * static_cast<std::size_t>(in_dims), 0.0);
-  }
+  if (policy == Replacement::kClock) referenced_.assign(static_cast<std::size_t>(table_size), 0);
 }
 
 std::size_t IactTable::storage_doubles(int table_size, int in_dims, int out_dims) {
@@ -80,7 +68,7 @@ std::size_t IactTable::footprint_bytes(int table_size, int in_dims, int out_dims
 }
 
 void IactTable::reset() {
-  std::fill(referenced_.begin(), referenced_.end(), false);
+  std::fill(referenced_.begin(), referenced_.end(), std::uint8_t{0});
   cursor_ = 0;
   valid_count_ = 0;
 }
@@ -88,52 +76,7 @@ void IactTable::reset() {
 void IactTable::mark_used(int index) {
   if (policy_ != Replacement::kClock) return;
   HPAC_REQUIRE(index >= 0 && index < table_size_, "mark_used index out of range");
-  referenced_[static_cast<std::size_t>(index)] = true;
-}
-
-int IactTable::victim_index() {
-  if (valid_count_ < table_size_) {
-    // Fill empty slots first under either policy. Valid entries always
-    // occupy the slot prefix [0, valid_count_) — the same invariant the
-    // scan's no-validity-check fast path rests on — so the first empty
-    // slot IS valid_count_; no rescan from 0 per insert (was O(n²) fill).
-    return valid_count_;
-  }
-  if (policy_ == Replacement::kRoundRobin) {
-    const int victim = cursor_;
-    cursor_ = (cursor_ + 1) % table_size_;
-    return victim;
-  }
-  // CLOCK: advance the hand, clearing reference bits, until an
-  // unreferenced entry is found.
-  for (;;) {
-    const int i = cursor_;
-    cursor_ = (cursor_ + 1) % table_size_;
-    if (!referenced_[static_cast<std::size_t>(i)]) return i;
-    referenced_[static_cast<std::size_t>(i)] = false;
-  }
-}
-
-void IactTable::insert(std::span<const double> in, std::span<const double> out) {
-  HPAC_REQUIRE(in.size() == static_cast<std::size_t>(in_dims_), "insert input size mismatch");
-  HPAC_REQUIRE(out.size() == static_cast<std::size_t>(out_dims_), "insert output size mismatch");
-  const int slot = victim_index();
-  const std::size_t row = static_cast<std::size_t>(slot) *
-                          (static_cast<std::size_t>(in_dims_) + out_dims_);
-  for (int d = 0; d < in_dims_; ++d) storage_[row + static_cast<std::size_t>(d)] = in[d];
-  if (!soa_.empty()) {
-    for (int d = 0; d < in_dims_; ++d) {
-      soa_[static_cast<std::size_t>(d) * static_cast<std::size_t>(table_size_) +
-           static_cast<std::size_t>(slot)] = in[d];
-    }
-  }
-  for (int d = 0; d < out_dims_; ++d) {
-    storage_[row + static_cast<std::size_t>(in_dims_) + static_cast<std::size_t>(d)] = out[d];
-  }
-  // Valid entries occupy the slot prefix, so the slot just past it is
-  // the only one whose fill grows the table.
-  if (slot == valid_count_) ++valid_count_;
-  referenced_[static_cast<std::size_t>(slot)] = false;
+  referenced_[static_cast<std::size_t>(index)] = 1;
 }
 
 void IactTable::find_nearest_lanes(std::span<const double> probes, sim::LaneMask lanes,
@@ -175,6 +118,64 @@ std::span<const double> IactTable::output_at(int index) const {
                           (static_cast<std::size_t>(in_dims_) + out_dims_);
   return storage_.subspan(row + static_cast<std::size_t>(in_dims_),
                           static_cast<std::size_t>(out_dims_));
+}
+
+IactTableSet::IactTableSet(int count, int table_size, int in_dims, int out_dims,
+                           Replacement policy, std::span<double> storage)
+    : stride_(IactTable::storage_doubles(table_size, in_dims, out_dims)), storage_(storage) {
+  HPAC_REQUIRE(count >= 1, "an iACT table set needs at least one table");
+  const auto tables = static_cast<std::size_t>(count);
+  HPAC_REQUIRE(storage.size() >= tables * stride_, "iACT storage block too small");
+  tables_scan_ = detail::select_iact_kernels(in_dims, simd::active_level()).tables;
+  tables_.reserve(tables);
+  for (std::size_t t = 0; t < tables; ++t) {
+    tables_.emplace_back(table_size, in_dims, out_dims, policy,
+                         storage.subspan(t * stride_, stride_));
+  }
+}
+
+void IactTableSet::reset() {
+  for (IactTable& table : tables_) table.reset();
+}
+
+void IactTableSet::find_nearest_warp(std::size_t first_table, int lanes_per_table_log2,
+                                     std::span<const double> probes, sim::LaneMask lanes,
+                                     std::span<IactMatch> matches) const {
+  if (lanes == 0) return;
+  const int lane_end = std::bit_width(lanes);
+  const int lanes_per_table = 1 << lanes_per_table_log2;
+  const auto table_end = static_cast<std::size_t>(((lane_end - 1) >> lanes_per_table_log2) + 1);
+  HPAC_REQUIRE(first_table + table_end <= tables_.size(),
+               "lane mask reaches past the last table");
+  const IactTable* tables = tables_.data() + first_table;
+  if (tables_scan_.fn != nullptr && lanes_per_table < tables_scan_.width) {
+    const auto dims = static_cast<std::size_t>(tables->in_dims());
+    HPAC_REQUIRE(probes.size() >= static_cast<std::size_t>(lane_end) * dims,
+                 "probe buffer smaller than the lane mask");
+    HPAC_REQUIRE(matches.size() >= static_cast<std::size_t>(lane_end),
+                 "match buffer smaller than the lane mask");
+    std::array<int, 64> valid_counts{};
+    for (std::size_t t = 0; t < table_end; ++t) valid_counts[t] = tables[t].valid_count();
+    detail::TablesScanArgs args;
+    args.rows = storage_.data() + first_table * stride_;
+    args.table_doubles = static_cast<int>(stride_);
+    args.row_doubles = tables->in_dims() + tables->out_dims();
+    args.valid_counts = valid_counts.data();
+    args.lanes_per_table_log2 = lanes_per_table_log2;
+    args.in_dims = tables->in_dims();
+    args.probes = probes.data();
+    args.lanes = lanes;
+    args.matches = matches.data();
+    tables_scan_.fn(args);
+    return;
+  }
+  // full_mask, not a shift: one table per 64-lane wavefront spans the
+  // whole 64-bit mask.
+  const sim::LaneMask table_lanes = sim::full_mask(lanes_per_table);
+  for (std::size_t t = 0; t < table_end; ++t) {
+    const sim::LaneMask mine = lanes & (table_lanes << (t << lanes_per_table_log2));
+    if (mine != 0) tables[t].find_nearest_lanes(probes, mine, matches);
+  }
 }
 
 }  // namespace hpac::approx

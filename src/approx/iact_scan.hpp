@@ -19,25 +19,6 @@ struct IactMatch {
 
 namespace hpac::approx::detail {
 
-/// Inputs of one vectorized nearest-entry scan over an iACT table.
-///
-/// The kernels read the table through its dimension-major mirror
-/// (`soa[d * capacity + row]`, maintained by `IactTable::insert`), which
-/// turns "the same dimension of W consecutive rows" into one contiguous
-/// vector load. Lanes map to rows; each lane accumulates its squared
-/// distance in ascending-dimension order — exactly the scalar scan's
-/// operation sequence — so the winning index *and* every distance bit
-/// match the scalar reference by construction (see the `simd` tests).
-struct ScanArgs {
-  const double* soa = nullptr;
-  const double* probe = nullptr;
-  int capacity = 0;
-  int valid_count = 0;
-  int in_dims = 0;
-};
-
-using ScanFn = IactMatch (*)(const ScanArgs&);
-
 /// Inputs of one batched probe scan: every lane of `lanes` searches the
 /// same table. Lanes map to *probes* (lane `l`'s probe is
 /// `probes[l * in_dims ..]`, its answer goes to `matches[l]`); rows are
@@ -56,28 +37,57 @@ struct LanesScanArgs {
 };
 
 /// A batched kernel and its vector width: the probes one step answers.
-/// A batch with fewer probes than `width` is cheaper on the
-/// rows-as-lanes scan.
+/// A batch with fewer probes than `width` runs the scalar scan per probe
+/// instead.
 struct LanesScan {
   void (*fn)(const LanesScanArgs&) = nullptr;
   int width = 0;
 };
 
-/// Per-ISA kernel lookup: a specialized kernel for small `in_dims`
-/// (compile-time unrolled dimension loop), a generic kernel otherwise.
-/// Returns nullptr when that ISA is not compiled into this binary.
-ScanFn iact_scan_fn_sse2(int in_dims);
-ScanFn iact_scan_fn_avx2(int in_dims);
-LanesScan iact_lanes_scan_sse2(int in_dims);
-LanesScan iact_lanes_scan_avx2(int in_dims);
+/// Inputs of one tables-as-lanes scan: every lane of `lanes` probes its
+/// own table of a block of equally shaped tables laid out
+/// `table_doubles` apart. Lane `l` probes table `l >> lanes_per_table_log2`
+/// (counted from `rows`, the first row of the warp's first table) with
+/// `probes[l * in_dims ..]` and writes `matches[l]`; rows at or past that
+/// table's `valid_counts[t]` are masked out. Each lane runs the scalar
+/// scan's per-row sequence over its own table, so every answer is
+/// bit-identical to that table's `IactTable::find_nearest` of the probe.
+struct TablesScanArgs {
+  const double* rows = nullptr;
+  int table_doubles = 0;
+  int row_doubles = 0;
+  const int* valid_counts = nullptr;
+  int lanes_per_table_log2 = 0;
+  int in_dims = 0;
+  const double* probes = nullptr;
+  std::uint64_t lanes = 0;
+  IactMatch* matches = nullptr;
+};
 
-/// The kernel (or nullptr → use the scalar path) for an `in_dims`-wide
-/// table under dispatch `level`, falling back to narrower ISAs when the
-/// requested one is unavailable.
-ScanFn select_iact_scan(int in_dims, simd::Level level);
+/// A tables-as-lanes kernel and its vector width. It pays off when a
+/// table serves fewer lanes than `width`, where the probes-as-lanes
+/// kernel would run a short batch per table.
+struct TablesScan {
+  void (*fn)(const TablesScanArgs&) = nullptr;
+  int width = 0;
+};
 
-/// Batched-probe counterpart of `select_iact_scan` (`fn == nullptr` →
-/// loop the single-probe `find_nearest`).
-LanesScan select_iact_lanes_scan(int in_dims, simd::Level level);
+/// The vector kernels of one table shape under one ISA; a null member
+/// keeps the scalar path it would replace.
+struct IactKernels {
+  LanesScan lanes;
+  TablesScan tables;
+};
+
+/// Per-ISA kernel lookup: specialized kernels for small `in_dims`
+/// (compile-time unrolled dimension loop), generic ones otherwise. All
+/// members are null when that ISA is not compiled into this binary.
+IactKernels iact_kernels_sse2(int in_dims);
+IactKernels iact_kernels_avx2(int in_dims);
+
+/// The kernels for an `in_dims`-wide table under dispatch `level`,
+/// falling back to narrower ISAs when the requested one is unavailable;
+/// all null at `kOff`.
+IactKernels select_iact_kernels(int in_dims, simd::Level level);
 
 }  // namespace hpac::approx::detail

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -534,26 +535,24 @@ class RunContext {
           "tables per warp (%d) must divide the warp size (%d)", tpw, warp_size_));
     }
     const int lanes_per_table = warp_size_ / tpw;
-    // Lanes of table 0; table t's are these shifted by t * lanes_per_table.
-    // full_mask, not a shift: one table per 64-lane wavefront spans the
-    // whole 64-bit mask.
-    const LaneMask table_lanes = sim::full_mask(lanes_per_table);
-    const std::size_t per_table = IactTable::storage_doubles(iact.table_size, id, od);
-    const Replacement replacement =
-        iact.clock_replacement ? Replacement::kClock : Replacement::kRoundRobin;
+    // Every device's warp size is a power of two (32 or 64), so each of
+    // its divisors is too.
+    HPAC_REQUIRE(std::has_single_bit(static_cast<unsigned>(lanes_per_table)),
+                 "lanes per iACT table must be a power of two");
+    // Lane l of a warp shares table (l >> table_shift) of that warp's tpw.
+    const int table_shift = std::countr_zero(static_cast<unsigned>(lanes_per_table));
+    const bool clock = iact.clock_replacement;
 
-    // One set of warp-shared tables, reset between teams.
+    // One set of warp-shared tables carved from one arena block, reset
+    // between teams.
     const std::uint32_t table_count = warps_per_team_ * static_cast<std::uint32_t>(tpw);
-    tables_.reserve(table_count);
-    for (std::uint32_t i = 0; i < table_count; ++i) {
-      tables_.emplace_back(iact.table_size, id, od, replacement,
-                           arena_.alloc_doubles(per_table));
-    }
+    IactTableSet tables(static_cast<int>(table_count), iact.table_size, id, od,
+                        clock ? Replacement::kClock : Replacement::kRoundRobin,
+                        arena_.alloc_doubles(table_count *
+                                             IactTable::storage_doubles(iact.table_size, id, od)));
 
     for (std::uint64_t team = team_begin_; team < team_end_; ++team) {
-      if (team != team_begin_) {
-        for (auto& table : tables_) table.reset();
-      }
+      if (team != team_begin_) tables.reset();
 
       for (std::uint64_t step = 0; step < steps_; ++step) {
         if (composed_step_skipped(team, step)) continue;
@@ -569,14 +568,11 @@ class RunContext {
           team_has_active = true;
           sim::WarpLedger& ledger = tracker_.warp(team, w);
           const std::uint64_t first_item = item_of(team, w, 0, step);
-          IactTable* warp_tables = tables_.data() + static_cast<std::size_t>(w) * tpw;
           gather_(first_item, s.active, std::span<double>(s.in));
-          // Reading phase: each table answers all of its lanes in one call.
-          for (int t = 0; t < tpw; ++t) {
-            const LaneMask lanes = s.active & (table_lanes << (t * lanes_per_table));
-            if (lanes == 0) continue;
-            warp_tables[t].find_nearest_lanes(s.in, lanes, s.match);
-          }
+          // Reading phase: every table of the warp answers its lanes in
+          // one call.
+          tables.find_nearest_warp(static_cast<std::size_t>(w) * tpw, table_shift, s.in,
+                                   s.active, s.match);
           LaneMask wishes = 0;
           sim::for_each_lane(s.active, [&](int lane) {
             const IactTable::Match& m = s.match[static_cast<std::size_t>(lane)];
@@ -610,7 +606,7 @@ class RunContext {
           if (s.active == 0) continue;
           sim::WarpLedger& ledger = tracker_.warp(team, w);
           const std::uint64_t first_item = item_of(team, w, 0, step);
-          IactTable* warp_tables = tables_.data() + static_cast<std::size_t>(w) * tpw;
+          IactTable* warp_tables = &tables[static_cast<std::size_t>(w) * tpw];
           LaneMask approx_mask = resolve_mask(s, block_decision);
           // A forced lane with an empty table has nothing to reuse; it
           // falls back to the accurate path.
@@ -629,11 +625,11 @@ class RunContext {
             accurate_(first_item, acc_mask, std::span<const double>(s.in), out);
           }
           sim::for_each_lane(approx_mask, [&](int lane) {
-            IactTable& table = warp_tables[lane / lanes_per_table];
-            const auto& m = s.match[static_cast<std::size_t>(lane)];
-            auto cached = table.output_at(m.index);
-            std::copy(cached.begin(), cached.end(), lane_out(lane).begin());
-            table.mark_used(m.index);
+            IactTable& table = warp_tables[lane >> table_shift];
+            const int index = s.match[static_cast<std::size_t>(lane)].index;
+            std::copy_n(table.output_data(index), od,
+                        out.data() + static_cast<std::size_t>(lane) * od);
+            if (clock) table.mark_used(index);
           });
           commit_(first_item, s.active, out);
           if (acc_mask != 0) acc_cost = cost_(first_item, acc_mask);
@@ -655,7 +651,7 @@ class RunContext {
               const auto& m = s.match[static_cast<std::size_t>(lane)];
               const double d =
                   m.valid() ? m.distance : std::numeric_limits<double>::infinity();
-              const auto t = static_cast<std::size_t>(lane / lanes_per_table);
+              const auto t = static_cast<std::size_t>(lane >> table_shift);
               if (d > farthest[t]) {
                 farthest[t] = d;
                 writer[t] = lane;
@@ -699,7 +695,6 @@ class RunContext {
   std::vector<double> out_buf_;
   std::vector<WarpScratch> scratch_;
   std::vector<TafState> taf_states_;
-  std::vector<IactTable> tables_;
 
   // Audit wrappers around the bound dispatch (inert unless the launch is
   // audited; see the constructor).

@@ -2,14 +2,16 @@
 
 // Shared templated bodies of the per-ISA application kernels. Included
 // ONLY by the per-ISA translation units (app_kernels_sse2.cpp /
-// app_kernels_avx2.cpp), which supply an `Ops` traits type over their
-// native vector register; everything here is written against that
+// app_kernels_avx2.cpp), which supply their ISA's `Ops` traits over the
+// native vector register (common/simd_ops_{sse2,avx2}.hpp, which document
+// the contract); everything here is written against that
 // abstract interface so there is exactly one copy of the math to keep
 // bit-identical with the scalar reference.
 //
 // Bit-identity contract (the whole point): each lane executes the exact
 // operation sequence of `Blackscholes::call_price` / the binomial
-// backward-induction statement / the kmeans distance loop — same association, explicit mul/add
+// backward-induction statement / the kmeans distance loop and argmin —
+// same association, explicit mul/add
 // (never FMA; these TUs are compiled without -mfma and intrinsics are
 // never contracted), and scalar libm calls (`std::log`, `std::exp`)
 // extracted per lane, since no vector math library is allowed to change
@@ -18,6 +20,7 @@
 // QoI vectors, error metrics and sweep CSV bytes — are invariant across
 // dispatch levels.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -26,15 +29,6 @@
 #include "apps/blackscholes.hpp"
 
 namespace hpac::apps::kernels {
-
-/// `Ops` traits contract:
-///   using V = <native vector of doubles>;
-///   static constexpr int kWidth;
-///   static V broadcast(double), loadu(const double*), storeu(double*, V);
-///   static V add/sub/mul/div(V, V);  static V sqrt(V);
-///   static V abs(V);                 // clear sign bit
-///   static V neg(V);                 // flip sign bit (exact negation)
-///   static V select_lt_zero(V x, V if_lt, V if_ge);  // lane: x<0 ? a : b
 
 /// Apply scalar libm `fn` to every lane. The round-trip through memory
 /// is bit-exact; the per-lane calls are the same calls the scalar path
@@ -70,7 +64,7 @@ inline typename Ops::V cnd_v(typename Ops::V d) {
   const V ex = lanes_libm<Ops, libm_exp>(Ops::mul(Ops::mul(Ops::broadcast(-0.5), d), d));
   const double inv_sqrt_2pi = 1.0 / std::sqrt(2.0 * M_PI);
   const V c = Ops::sub(one, Ops::mul(Ops::mul(Ops::broadcast(inv_sqrt_2pi), ex), poly));
-  return Ops::select_lt_zero(d, Ops::sub(one, c), c);
+  return Ops::select(Ops::lt(d, Ops::zero()), Ops::sub(one, c), c);
 }
 
 /// W packed call options per iteration; scalar remainder defers to
@@ -132,51 +126,80 @@ void binomial_induct_impl(double* values, int steps, double discount, double p_u
   }
 }
 
-/// Nearest centroid with lanes = centroids: lane `c` of a block
-/// accumulates `dist += diff * diff` over ascending dimensions, the scalar
-/// loop's sequence, against the dimension-major centroid matrix (dimension
-/// j of W consecutive centroids is one load). Block distances then fold in
-/// ascending `c` through the scalar strict `<`; the `k % W` remainder
-/// centroids run the scalar loop itself.
+/// Nearest centroid with lanes = items. A step takes `4 * kW` consecutive
+/// lanes as four vectors; every (centroid, dimension) step broadcasts
+/// `centroids_t[j * k + c]` and feeds the four vectors' independent
+/// `dist += diff * diff` chains, so each lane accumulates over ascending
+/// dimensions exactly like the scalar loop. After each centroid a strict
+/// `<` blend updates every lane's best distance and label, visiting
+/// centroids in ascending `c`: the first of equally near centroids wins
+/// and a NaN distance never does. Lanes outside the mask repeat the
+/// step's first active lane, so the kernel never reads past the mask's
+/// highest lane; their labels are dropped.
 template <typename Ops>
 void kmeans_assign_impl(const double* points, int dims, const double* centroids_t, int k,
                         std::uint64_t lanes, double* out) {
   using V = typename Ops::V;
   constexpr int kW = Ops::kWidth;
-  const int vector_end = k - k % kW;
-  for (; lanes != 0; lanes &= lanes - 1) {
-    const int lane = std::countr_zero(lanes);
-    const double* point = points + static_cast<std::size_t>(lane) * dims;
-    int best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (int c = 0; c < vector_end; c += kW) {
-      V dist = Ops::broadcast(0.0);
-      for (int j = 0; j < dims; ++j) {
-        const V diff = Ops::sub(Ops::broadcast(point[j]),
-                                Ops::loadu(centroids_t + static_cast<std::size_t>(j) * k + c));
-        dist = Ops::add(dist, Ops::mul(diff, diff));
-      }
-      double lane_dist[kW];
-      Ops::storeu(lane_dist, dist);
+  constexpr int kVectors = 4;
+  constexpr int kStep = kVectors * kW;
+  // Observation dimensions gathered once per step and reused for every
+  // centroid; wider observations gather their remaining dimensions per
+  // centroid (same values, same order).
+  constexpr int kHeldDims = 16;
+  const int held_dims = std::min(dims, kHeldDims);
+  const int lane_end = std::bit_width(lanes);
+  for (int first = 0; first < lane_end; first += kStep) {
+    const std::uint64_t step = (lanes >> first) & ((std::uint64_t{1} << kStep) - 1);
+    if (step == 0) continue;
+    const int spare = first + std::countr_zero(step);
+    int offsets[kVectors][kW];
+    for (int q = 0; q < kVectors; ++q) {
       for (int l = 0; l < kW; ++l) {
-        if (lane_dist[l] < best_dist) {
-          best_dist = lane_dist[l];
-          best = c + l;
+        const int bit = q * kW + l;
+        offsets[q][l] = ((step >> bit) & 1 ? first + bit : spare) * dims;
+      }
+    }
+    V held[kHeldDims][kVectors];
+    for (int j = 0; j < held_dims; ++j) {
+      for (int q = 0; q < kVectors; ++q) held[j][q] = Ops::load_lanes(points + j, offsets[q]);
+    }
+    V best_dist[kVectors];
+    V best[kVectors];
+    for (int q = 0; q < kVectors; ++q) {
+      best_dist[q] = Ops::broadcast(std::numeric_limits<double>::infinity());
+      best[q] = Ops::broadcast(0.0);
+    }
+    for (int c = 0; c < k; ++c) {
+      V dist[kVectors];
+      for (int q = 0; q < kVectors; ++q) dist[q] = Ops::broadcast(0.0);
+      for (int j = 0; j < held_dims; ++j) {
+        const V centroid = Ops::broadcast(centroids_t[static_cast<std::size_t>(j) * k + c]);
+        for (int q = 0; q < kVectors; ++q) {
+          const V diff = Ops::sub(held[j][q], centroid);
+          dist[q] = Ops::add(dist[q], Ops::mul(diff, diff));
         }
       }
-    }
-    for (int c = vector_end; c < k; ++c) {
-      double dist = 0;
-      for (int j = 0; j < dims; ++j) {
-        const double diff = point[j] - centroids_t[static_cast<std::size_t>(j) * k + c];
-        dist += diff * diff;
+      for (int j = held_dims; j < dims; ++j) {
+        const V centroid = Ops::broadcast(centroids_t[static_cast<std::size_t>(j) * k + c]);
+        for (int q = 0; q < kVectors; ++q) {
+          const V diff = Ops::sub(Ops::load_lanes(points + j, offsets[q]), centroid);
+          dist[q] = Ops::add(dist[q], Ops::mul(diff, diff));
+        }
       }
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = c;
+      const V label = Ops::broadcast(static_cast<double>(c));
+      for (int q = 0; q < kVectors; ++q) {
+        const V nearer = Ops::lt(dist[q], best_dist[q]);
+        best_dist[q] = Ops::select(nearer, dist[q], best_dist[q]);
+        best[q] = Ops::select(nearer, label, best[q]);
       }
     }
-    out[lane] = static_cast<double>(best);
+    double labels[kStep];
+    for (int q = 0; q < kVectors; ++q) Ops::storeu(labels + q * kW, best[q]);
+    for (std::uint64_t m = step; m != 0; m &= m - 1) {
+      const int bit = std::countr_zero(m);
+      out[first + bit] = labels[bit];
+    }
   }
 }
 

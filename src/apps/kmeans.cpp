@@ -91,7 +91,7 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   };
   bind_gather(binding, gather_one);
   bind_accurate(binding, assign_one);
-  // Vector fast path (lanes = centroids), resolved per run() like
+  // Vector fast path (lanes = items), resolved per run() like
   // blackscholes'. It reads a dimension-major copy of the centroids that
   // the Lloyd loop below refreshes once per iteration, before the launch
   // — never inside the callback, which concurrent team shards share. Its
@@ -114,16 +114,24 @@ harness::RunOutput KMeans::run(const pragma::ApproxSpec& spec, std::uint64_t ite
   // run on different executor shards; the atomic_ref makes that race-free
   // without affecting the count, while the plain storage lets the audit
   // layer snapshot/restore it as a commuting extent around differential
-  // re-runs.
+  // re-runs. A warp counts its changed memberships locally and adds them
+  // with one atomic.
   alignas(8) std::uint64_t changed = 0;
-  const auto commit_one = [&membership, &changed](std::uint64_t i, const double* out) {
-    const int assigned = static_cast<int>(out[0]);
-    if (membership[i] != assigned) {
-      membership[i] = assigned;
-      std::atomic_ref<std::uint64_t>(changed).fetch_add(1, std::memory_order_relaxed);
+  binding.commit_batch = [&membership, &changed](std::uint64_t first_item, sim::LaneMask lanes,
+                                                 std::span<const double> out) {
+    std::uint64_t warp_changed = 0;
+    sim::for_each_lane(lanes, [&](int lane) {
+      const int assigned = static_cast<int>(out[static_cast<std::size_t>(lane)]);
+      int& member = membership[first_item + static_cast<std::uint64_t>(lane)];
+      if (member != assigned) {
+        member = assigned;
+        ++warp_changed;
+      }
+    });
+    if (warp_changed != 0) {
+      std::atomic_ref<std::uint64_t>(changed).fetch_add(warp_changed, std::memory_order_relaxed);
     }
   };
-  bind_commit(binding, commit_one);
   binding.independent_items = true;  // membership[i] writes + commuting counter
   binding.commit_extents = [&membership, &changed](std::uint64_t i,
                                                    approx::audit::ExtentSink& sink) {

@@ -2,7 +2,7 @@
 
 namespace hpac::apps::kernels {
 
-// Widest-first with fall-through, mirroring select_iact_scan: a level
+// Widest-first with fall-through, mirroring select_iact_kernels: a level
 // whose TU was not compiled (or a non-x86 host) degrades to the next
 // narrower ISA; kOff always yields nullptr and the apps' scalar path.
 

@@ -2,7 +2,7 @@
 
 // Vectorized application math for the apps whose `accurate` paths
 // dominate sweep time: blackscholes batch pricing (lanes = option
-// contracts) and the kmeans nearest-centroid search (lanes = centroids),
+// contracts) and the kmeans nearest-centroid search (lanes = items),
 // both wired through the warp-per-call `accurate_batch` binding hook, and
 // the binomial backward induction (lanes = tree nodes of one level,
 // applied inside `tree_price`). Every kernel is bit-identical to its
@@ -30,7 +30,9 @@ using BinomialInductFn = void (*)(double* values, int steps, double discount, do
                                   double p_down);
 
 /// Nearest centroid of every lane of `lanes`: lane `l`'s observation is
-/// `points[l * dims ..]` and its cluster id goes to `out[l]`.
+/// `points[l * dims ..]` and its cluster id goes to `out[l]`; no
+/// observation past the mask's highest lane is read, and no `out` entry
+/// outside the mask is written.
 /// `centroids_t` is the dimension-major centroid matrix
 /// (`centroids_t[j * k + c]`). Distances accumulate in ascending
 /// dimension order and the argmin folds in ascending `c` with a strict

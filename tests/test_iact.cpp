@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -453,9 +454,9 @@ TEST(IactProperty, FindNearestMatchesNaiveAtEveryDispatchLevel) {
 }
 
 // Same property over a storage span at an odd offset into a larger
-// buffer: every row of the span (and every SoA-mirror vector load) is
-// 8-byte- but not 16/32-byte-aligned, so the kernels' unaligned-load
-// assumption is exercised rather than assumed.
+// buffer: every row of the span is 8-byte- but not 16/32-byte-aligned,
+// so the kernels' unaligned-load assumption is exercised rather than
+// assumed.
 TEST(IactProperty, FindNearestMatchesNaiveWithUnalignedStorageOffset) {
   SimdLevelGuard guard;
   for (const hpac::simd::Level level : reachable_levels()) {
@@ -618,6 +619,116 @@ TEST(IactProperty, FindNearestLanesRejectsBuffersShorterThanTheMask) {
   EXPECT_THROW(table.find_nearest_lanes(probes, sim::full_mask(9), matches), Error);
   std::vector<IactTable::Match> short_matches(7);
   EXPECT_THROW(table.find_nearest_lanes(probes, sim::full_mask(8), short_matches), Error);
+}
+
+// --- tables-as-lanes scan ----------------------------------------------------
+//
+// IactTableSet::find_nearest_warp answers every table of a warp in one call;
+// when a table serves fewer lanes than a vector holds, the lanes read
+// different tables of the set's one storage block. Its contract is
+// per-lane equality with that lane's table's find_nearest, on the index and
+// every distance bit, at every dispatch level, with each table masked to
+// its own valid rows, and lanes outside the mask untouched.
+TEST(IactProperty, TablesAsLanesMatchesPerTableFindNearestAtEveryDispatchLevel) {
+  SimdLevelGuard guard;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double special[] = {std::numeric_limits<double>::quiet_NaN(), inf, -inf};
+  struct Shape {
+    const char* device;
+    int warp_size;
+    int tables_per_warp;
+  };
+  const Shape shapes[] = {{"v100", 32, 16}, {"v100", 32, 32}, {"mi250x", 64, 32},
+                          {"mi250x", 64, 64}};
+  for (const hpac::simd::Level level : reachable_levels()) {
+    ASSERT_EQ(hpac::simd::set_level(level), level);
+    for (const Shape& shape : shapes) {
+      const int lanes_per_table = shape.warp_size / shape.tables_per_warp;
+      const int shift = std::countr_zero(static_cast<unsigned>(lanes_per_table));
+      const std::vector<sim::LaneMask> masks{
+          sim::full_mask(shape.warp_size),
+          sim::LaneMask{0x8421'0c30'9240'1a05} & sim::full_mask(shape.warp_size),
+          sim::full_mask(shape.warp_size / 2 + 3) & ~sim::LaneMask{0x6},
+          sim::LaneMask{1} << (shape.warp_size - 1)};
+      for (int in_dims = 1; in_dims <= 10; ++in_dims) {
+        for (int tsize = 1; tsize <= 9; ++tsize) {
+          for (const Replacement policy : {Replacement::kRoundRobin, Replacement::kClock}) {
+            Xoshiro256 rng(static_cast<std::uint64_t>(shape.warp_size * 7 + shape.tables_per_warp) *
+                               100000 +
+                           static_cast<std::uint64_t>(in_dims) * 1000 + tsize * 10 +
+                           (policy == Replacement::kClock ? 1 : 0));
+            const auto quantized = [&rng] {
+              return 0.25 * static_cast<double>(rng.uniform_index(9));
+            };
+            // Two warps' tables, probing the second: the first table of
+            // the probed warp sits one warp's stride into the block.
+            const int count = 2 * shape.tables_per_warp;
+            std::vector<double> storage(
+                static_cast<std::size_t>(count) * IactTable::storage_doubles(tsize, in_dims, 1),
+                0.0);
+            IactTableSet tables(count, tsize, in_dims, 1, policy, storage);
+            std::vector<double> in(static_cast<std::size_t>(in_dims));
+            std::vector<double> out{0.0};
+            for (int t = 0; t < count; ++t) {
+              // Fills differ per table: empty (always the probed warp's
+              // first), partly filled, full, and churned past capacity.
+              const int fills = t == shape.tables_per_warp
+                                    ? 0
+                                    : static_cast<int>(rng.uniform_index(
+                                          static_cast<std::uint64_t>(3 * tsize + 2)));
+              IactTable& table = tables[static_cast<std::size_t>(t)];
+              for (int f = 0; f < fills; ++f) {
+                for (auto& v : in) v = quantized();
+                out[0] = static_cast<double>(f);
+                table.insert(in, out);
+                if (rng.uniform_index(2) == 0) {
+                  table.mark_used(static_cast<int>(
+                      rng.uniform_index(static_cast<std::uint64_t>(table.valid_count()))));
+                }
+              }
+            }
+            std::vector<double> probes(static_cast<std::size_t>(shape.warp_size) * in_dims);
+            for (auto& v : probes) v = quantized();
+            for (const int lane : {1, 3, 17, shape.warp_size - 1}) {
+              probes[static_cast<std::size_t>(lane) * in_dims +
+                     rng.uniform_index(static_cast<std::uint64_t>(in_dims))] =
+                  special[rng.uniform_index(3)];
+            }
+            const auto first_table = static_cast<std::size_t>(shape.tables_per_warp);
+            for (const sim::LaneMask mask : masks) {
+              IactTable::Match sentinel;
+              sentinel.index = -7;
+              sentinel.distance = -1.0;
+              std::vector<IactTable::Match> matches(static_cast<std::size_t>(shape.warp_size),
+                                                    sentinel);
+              tables.find_nearest_warp(first_table, shift, probes, mask, matches);
+              for (int lane = 0; lane < shape.warp_size; ++lane) {
+                const IactTable::Match& got = matches[static_cast<std::size_t>(lane)];
+                const std::string where =
+                    std::string("level ") + hpac::simd::level_name(level) + " " + shape.device +
+                    " tpw " + std::to_string(shape.tables_per_warp) + " dims " +
+                    std::to_string(in_dims) + " tsize " + std::to_string(tsize) + " mask " +
+                    std::to_string(mask) + " lane " + std::to_string(lane);
+                if (!sim::lane_active(mask, lane)) {
+                  ASSERT_EQ(got.index, -7) << where << " outside the mask";
+                  ASSERT_EQ(got.distance, -1.0) << where << " outside the mask";
+                  continue;
+                }
+                const IactTable& table =
+                    tables[first_table + static_cast<std::size_t>(lane >> shift)];
+                const IactTable::Match want = table.find_nearest(
+                    std::span<const double>(probes).subspan(
+                        static_cast<std::size_t>(lane) * in_dims,
+                        static_cast<std::size_t>(in_dims)));
+                ASSERT_EQ(got.index, want.index) << where;
+                ASSERT_EQ(0, std::memcmp(&got.distance, &want.distance, sizeof(double))) << where;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // Engine level: on mi250x with one table per 64-lane wavefront every

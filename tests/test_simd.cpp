@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -127,69 +128,89 @@ int scalar_nearest(const double* point, const std::vector<double>& centroids, in
 
 }  // namespace
 
-// Every kernel (each reachable ISA) against the scalar loop: k below,
-// at and off multiples of the vector width (5 and 7 leave remainders),
-// duplicate centroids (the first must win), tie-rich quantized data, and
-// observations with a NaN coordinate (no centroid is ever nearer, so the
-// best stays 0). Lanes outside the mask must not be written.
+// Every kernel (each reachable ISA) against the scalar loop: k 1..9 (below,
+// at and off multiples of the vector width), observations narrower and
+// wider than the kernel's held dimensions, duplicate centroids (the first
+// must win), tie-rich quantized data, and observations with a NaN
+// coordinate (no centroid is ever nearer, so the best stays 0). Masks have
+// holes, and each observation buffer ends at the mask's highest lane, so
+// a sanitizer build flags any read past it. Lanes outside the mask must
+// not be written.
 TEST(Simd, KmeansAssignKernelMatchesScalarLoop) {
   SimdLevelGuard guard;
+  const std::vector<sim::LaneMask> masks{
+      ~sim::LaneMask{0} & ~(sim::LaneMask{1} << 9),  // one hole, top lane 63
+      sim::LaneMask{0x0000'0026'8421'0c35},          // sparse, top lane 37
+      sim::LaneMask{1} << 41,                        // one lane
+      sim::full_mask(35) & ~sim::full_mask(16),      // lanes 16..34
+      sim::full_mask(6)};                            // fewer lanes than a step
   for (const simd::Level level : reachable_levels()) {
     if (level == simd::Level::kOff) continue;
     simd::set_level(level);
     const apps::kernels::KmeansAssignFn assign = apps::kernels::kmeans_assign_fn();
     ASSERT_NE(assign, nullptr) << simd::level_name(level);
-    for (const int dims : {1, 3, 8}) {
-      for (const int k : {1, 2, 4, 5, 7, 8, 9}) {
-        std::uint64_t state = static_cast<std::uint64_t>(dims * 100 + k);
-        const auto quantized = [&state] {
-          state = state * 6364136223846793005ull + 1442695040888963407ull;
-          return 0.5 * static_cast<double>((state >> 33) % 7);
-        };
-        std::vector<double> centroids(static_cast<std::size_t>(k) * dims);
-        for (auto& v : centroids) v = quantized();
-        // Centroid k/2 sits apart from the rest and centroid k-1 duplicates
-        // it: observations on it tie at distance 0, the lower index wins.
-        centroids[static_cast<std::size_t>(k / 2) * dims] = 100.0;
-        for (int j = 0; j < dims; ++j) {
-          centroids[static_cast<std::size_t>(k - 1) * dims + j] =
-              centroids[static_cast<std::size_t>(k / 2) * dims + j];
-        }
-        std::vector<double> transposed(centroids.size());
-        for (int c = 0; c < k; ++c) {
+    for (const int dims : {1, 3, 8, 17}) {
+      for (int k = 1; k <= 9; ++k) {
+        for (const sim::LaneMask mask : masks) {
+          std::uint64_t state = static_cast<std::uint64_t>(dims * 100 + k) ^ mask;
+          const auto quantized = [&state] {
+            state = state * 6364136223846793005ull + 1442695040888963407ull;
+            return 0.5 * static_cast<double>((state >> 33) % 7);
+          };
+          std::vector<double> centroids(static_cast<std::size_t>(k) * dims);
+          for (auto& v : centroids) v = quantized();
+          // Centroid k/2 sits apart from the rest and centroid k-1
+          // duplicates it: observations on it tie at distance 0, the lower
+          // index wins.
+          centroids[static_cast<std::size_t>(k / 2) * dims] = 100.0;
           for (int j = 0; j < dims; ++j) {
-            transposed[static_cast<std::size_t>(j) * k + c] =
-                centroids[static_cast<std::size_t>(c) * dims + j];
-          }
-        }
-        std::vector<double> points(64 * static_cast<std::size_t>(dims));
-        for (auto& v : points) v = quantized();
-        // The lanes sitting exactly on the duplicated centroid.
-        for (const int lane : {2, 33}) {
-          for (int j = 0; j < dims; ++j) {
-            points[static_cast<std::size_t>(lane) * dims + j] =
+            centroids[static_cast<std::size_t>(k - 1) * dims + j] =
                 centroids[static_cast<std::size_t>(k / 2) * dims + j];
           }
-        }
-        for (const int lane : {5, 40}) {
-          points[static_cast<std::size_t>(lane) * dims] = std::numeric_limits<double>::quiet_NaN();
-        }
-        const sim::LaneMask mask = ~sim::LaneMask{0} & ~(sim::LaneMask{1} << 9);
-        std::vector<double> out(64, -1.0);
-        assign(points.data(), dims, transposed.data(), k, mask, out.data());
-        for (int lane = 0; lane < 64; ++lane) {
-          if (!sim::lane_active(mask, lane)) {
-            EXPECT_EQ(out[static_cast<std::size_t>(lane)], -1.0);
-            continue;
+          std::vector<double> transposed(centroids.size());
+          for (int c = 0; c < k; ++c) {
+            for (int j = 0; j < dims; ++j) {
+              transposed[static_cast<std::size_t>(j) * k + c] =
+                  centroids[static_cast<std::size_t>(c) * dims + j];
+            }
           }
-          const double* point = points.data() + static_cast<std::size_t>(lane) * dims;
-          ASSERT_EQ(out[static_cast<std::size_t>(lane)],
-                    static_cast<double>(scalar_nearest(point, centroids, dims, k)))
-              << simd::level_name(level) << " dims " << dims << " k " << k << " lane " << lane;
+          const int lanes = std::bit_width(mask);
+          std::vector<double> points(static_cast<std::size_t>(lanes) * dims);
+          for (auto& v : points) v = quantized();
+          // Lanes sitting exactly on the duplicated centroid, and lanes
+          // with a NaN coordinate.
+          for (const int lane : {2, 33, 41}) {
+            if (lane >= lanes) continue;
+            for (int j = 0; j < dims; ++j) {
+              points[static_cast<std::size_t>(lane) * dims + j] =
+                  centroids[static_cast<std::size_t>(k / 2) * dims + j];
+            }
+          }
+          for (const int lane : {5, 18, 40}) {
+            if (lane >= lanes) continue;
+            points[static_cast<std::size_t>(lane) * dims + static_cast<std::size_t>(dims / 2)] =
+                std::numeric_limits<double>::quiet_NaN();
+          }
+          std::vector<double> out(64, -1.0);
+          assign(points.data(), dims, transposed.data(), k, mask, out.data());
+          for (int lane = 0; lane < 64; ++lane) {
+            const double got = out[static_cast<std::size_t>(lane)];
+            if (!sim::lane_active(mask, lane)) {
+              ASSERT_EQ(got, -1.0) << "lane " << lane << " outside the mask";
+              continue;
+            }
+            const double* point = points.data() + static_cast<std::size_t>(lane) * dims;
+            ASSERT_EQ(got, static_cast<double>(scalar_nearest(point, centroids, dims, k)))
+                << simd::level_name(level) << " dims " << dims << " k " << k << " mask " << mask
+                << " lane " << lane;
+            if (lane == 2 || lane == 33 || lane == 41) {
+              ASSERT_EQ(got, static_cast<double>(k / 2));
+            }
+            if (lane == 5 || lane == 18 || lane == 40) {
+              ASSERT_EQ(got, 0.0);
+            }
+          }
         }
-        EXPECT_EQ(out[2], static_cast<double>(k / 2));
-        EXPECT_EQ(out[5], 0.0);
-        EXPECT_EQ(out[40], 0.0);
       }
     }
   }
