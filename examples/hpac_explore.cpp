@@ -35,7 +35,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --benchmark=NAME [--device=v100|mi250x] [--ipt=N]\n"
-               "          (--clause=\"...\" [--perfo=\"...\"] | --sweep=taf|iact|perfo)\n"
+               "          (--clause=\"...\" | --sweep=taf|iact|perfo)\n"
                "          [--csv=FILE] [--audit=off|report|enforce]\n\n"
                "--audit validates every independent_items declaration at runtime\n"
                "(address-range tagging + a differential re-run); report annotates\n"
@@ -44,6 +44,15 @@ namespace {
   for (const auto& name : apps::benchmark_names()) std::fprintf(stderr, " %s", name.c_str());
   std::fprintf(stderr, "\n");
   std::exit(2);
+}
+
+std::uint64_t parse_ipt(const char* argv0, const std::string& value) {
+  long long parsed = 0;
+  if (!strings::parse_int(value, parsed) || parsed <= 0) {
+    std::fprintf(stderr, "error: --ipt needs a positive number, got \"%s\"\n", value.c_str());
+    usage(argv0);
+  }
+  return static_cast<std::uint64_t>(parsed);
 }
 
 void print_record(const harness::RunRecord& r) {
@@ -63,7 +72,7 @@ void print_record(const harness::RunRecord& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string benchmark, clause, perfo_clause, sweep, csv;
+  std::string benchmark, clause, sweep, csv;
   std::string device = "v100";
   std::string audit = "off";
   std::uint64_t ipt = 8;
@@ -77,11 +86,10 @@ int main(int argc, char** argv) {
     if (auto v = value("--benchmark")) benchmark = *v;
     else if (auto v2 = value("--device")) device = *v2;
     else if (auto v3 = value("--clause")) clause = *v3;
-    else if (auto v4 = value("--perfo")) perfo_clause = *v4;
-    else if (auto v5 = value("--sweep")) sweep = *v5;
-    else if (auto v6 = value("--csv")) csv = *v6;
-    else if (auto v7 = value("--ipt")) ipt = std::strtoull(v7->c_str(), nullptr, 10);
-    else if (auto v8 = value("--audit")) audit = *v8;
+    else if (auto v4 = value("--sweep")) sweep = *v4;
+    else if (auto v5 = value("--csv")) csv = *v5;
+    else if (auto v6 = value("--ipt")) ipt = parse_ipt(argv[0], *v6);
+    else if (auto v7 = value("--audit")) audit = *v7;
     else usage(argv[0]);
   }
   if (benchmark.empty() || (clause.empty() && sweep.empty())) usage(argv[0]);
@@ -104,14 +112,6 @@ int main(int argc, char** argv) {
                 app->error_metric() == harness::ErrorMetric::kMcr ? "MCR" : "MAPE");
 
     if (!clause.empty()) {
-      // Single configuration; --perfo adds Figure-2 style composition by
-      // evaluating the perforation and memoization directives together.
-      if (!perfo_clause.empty()) {
-        std::fprintf(stderr,
-                     "note: composed directives are evaluated per-kernel by apps that use "
-                     "target_parallel_for's composed overload; the registry benchmarks "
-                     "evaluate --clause only.\n");
-      }
       print_record(explorer.run_config(pragma::parse_approx(clause), ipt));
     } else {
       std::vector<pragma::ApproxSpec> specs;

@@ -303,9 +303,9 @@ CampaignResult Campaign::run(ResultStore& store) {
       {
         common::MutexLock lock(board.mutex);
         records[index] = record;
-        // The store flushes the journal row before publishing, so by the
-        // time on_record (or any store reader) sees the record it is
-        // already durable.
+        // The store flushes the journal row before the record becomes
+        // visible, so by the time on_record (or any store reader) sees the
+        // record it is already durable.
         store.append(record);
         ++result.evaluated;
       }

@@ -347,7 +347,7 @@ struct DistributedCampaign::Runner {
     // Result row flushed BEFORE the release record: a released tuple
     // always has a durable result somewhere, and a crash between the two
     // leaves at most a duplicate evaluation for the merge to drop.
-    if (store.append_if_absent(record) != 0) maybe_kill_after_append();
+    if (store.append_if_absent(record)) maybe_kill_after_append();
     journal.release(tuple);
     ++stats.evaluated;
   }

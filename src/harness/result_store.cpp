@@ -3,7 +3,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <deque>
+#include <limits>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 
 #include "common/csv.hpp"
@@ -39,19 +42,53 @@ std::streamoff durable_prefix(const std::string& path) {
   return keep;
 }
 
+/// `Log::find` limit that admits every record.
+constexpr std::size_t kWholeLog = std::numeric_limits<std::size_t>::max();
+
 }  // namespace
+
+// --- Log ---------------------------------------------------------------------
+
+/// The records in append order plus the tuple-key index. A deque never
+/// moves an element on push_back, so a record's address stays valid for
+/// the log's lifetime; the mutex guards only the containers' own
+/// structure, held for a count, a lookup or an address.
+class ResultStore::Log {
+ public:
+  std::size_t size() const {
+    common::MutexLock lock(mutex_);
+    return records_.size();
+  }
+
+  /// The record for `key` when it is among the first `limit` records.
+  const RunRecord* find(const std::string& key, std::size_t limit) const {
+    common::MutexLock lock(mutex_);
+    const auto it = index_.find(key);
+    return it != index_.end() && it->second < limit ? &records_[it->second] : nullptr;
+  }
+
+  const RunRecord& at(std::size_t index) const {
+    common::MutexLock lock(mutex_);
+    return records_[index];
+  }
+
+  /// Callers check absence first; the writer mutex makes check + push atomic.
+  void push(std::string key, const RunRecord& record) {
+    common::MutexLock lock(mutex_);
+    index_.emplace(std::move(key), records_.size());
+    records_.push_back(record);
+  }
+
+ private:
+  mutable common::Mutex mutex_;
+  std::deque<RunRecord> records_ GUARDED_BY(mutex_);
+  std::unordered_map<std::string, std::size_t> index_ GUARDED_BY(mutex_);
+};
 
 // --- Snapshot ----------------------------------------------------------------
 
-const std::shared_ptr<const ResultStore::Snapshot::State>&
-ResultStore::Snapshot::empty_state() {
-  static const std::shared_ptr<const State> empty = std::make_shared<State>();
-  return empty;
-}
-
 const RunRecord* ResultStore::Snapshot::find_key(const std::string& tuple_key) const {
-  const std::size_t* index = state_->index.find(tuple_key);
-  return index != nullptr ? &state_->records[*index] : nullptr;
+  return empty() ? nullptr : log_->find(tuple_key, size_);
 }
 
 const RunRecord* ResultStore::Snapshot::find(const std::string& benchmark,
@@ -61,9 +98,14 @@ const RunRecord* ResultStore::Snapshot::find(const std::string& benchmark,
   return find_key(Campaign::tuple_key(benchmark, device, spec_text, items_per_thread));
 }
 
+const RunRecord& ResultStore::Snapshot::at(std::size_t index) const {
+  HPAC_REQUIRE(index < size_, "result store snapshot index out of range");
+  return log_->at(index);
+}
+
 ResultDb ResultStore::Snapshot::to_db() const {
   ResultDb db;
-  state_->records.for_each([&db](const RunRecord& record) { db.add(record); });
+  for_each([&db](const RunRecord& record) { db.add(record); });
   return db;
 }
 
@@ -75,8 +117,7 @@ std::string ResultStore::key_of(const RunRecord& record) {
 }
 
 ResultStore::ResultStore(std::string path, bool read_only)
-    : path_(std::move(path)), read_only_(read_only) {
-  auto state = std::make_shared<Snapshot::State>();
+    : path_(std::move(path)), read_only_(read_only), log_(std::make_shared<Log>()) {
   // Serialize against writers in OTHER processes sharing this journal:
   // append_if_absent holds the same flock around each row. Without it, a
   // peer's complete rows landing between the durable-prefix read and the
@@ -99,13 +140,11 @@ ResultStore::ResultStore(std::string path, bool read_only)
     const ResultDb journal = ResultDb::load(path_, /*drop_torn_tail=*/true);
     for (const RunRecord& record : journal.records()) {
       std::string key = key_of(record);
-      if (state->index.contains(key)) {
+      if (log_->find(key, kWholeLog) != nullptr) {
         ++load_stats_.duplicates;  // e.g. two writers raced on one file
         continue;
       }
-      state->index = state->index.set(std::move(key), state->records.size());
-      state->records = state->records.push_back(record);
-      ++state->version;
+      log_->push(std::move(key), record);
       ++load_stats_.restored;
     }
   }
@@ -133,27 +172,28 @@ ResultStore::ResultStore(std::string path, bool read_only)
       journal_.flush();
     }
   }
-  publish(std::move(state));
 }
 
 ResultStore::~ResultStore() = default;
 
-std::uint64_t ResultStore::append(const RunRecord& record) {
-  const std::uint64_t version = append_if_absent(record);
-  HPAC_REQUIRE(version != 0, "result store already holds tuple: " + record.benchmark +
-                                 " on " + record.device + " '" + record.spec_text + "'");
-  return version;
+ResultStore::Snapshot ResultStore::snapshot() const { return Snapshot(log_, log_->size()); }
+
+std::size_t ResultStore::size() const { return log_->size(); }
+
+void ResultStore::append(const RunRecord& record) {
+  const bool appended = append_if_absent(record);
+  HPAC_REQUIRE(appended, "result store already holds tuple: " + record.benchmark + " on " +
+                             record.device + " '" + record.spec_text + "'");
 }
 
-std::uint64_t ResultStore::append_if_absent(const RunRecord& record) {
+bool ResultStore::append_if_absent(const RunRecord& record) {
   common::MutexLock lock(writer_mutex_);
   HPAC_REQUIRE(!read_only_, "result store is read-only: " + path_);
   HPAC_REQUIRE(!finalized_, "result store was finalized; no further appends");
-  const std::shared_ptr<const Snapshot::State> current = snapshot().state_;
   std::string key = key_of(record);
-  if (current->index.contains(key)) return 0;
-  // Journal first, publish second: a version is only ever visible once its
-  // row is flushed, so a snapshot can never lead the durable journal.
+  if (log_->find(key, kWholeLog) != nullptr) return false;
+  // Journal first, push second: a record is only ever visible once its row
+  // is flushed, so a snapshot can never lead the durable journal.
   if (persistent()) {
     // The flock pairs with the constructor's open-time truncation window
     // in peer processes; O_APPEND then lands the flushed row at the
@@ -162,13 +202,8 @@ std::uint64_t ResultStore::append_if_absent(const RunRecord& record) {
     write_csv_row(journal_, record.to_row());
     journal_.flush();
   }
-  auto next = std::make_shared<Snapshot::State>();
-  next->index = current->index.set(std::move(key), current->records.size());
-  next->records = current->records.push_back(record);
-  next->version = current->version + 1;
-  const std::uint64_t version = next->version;
-  publish(std::move(next));
-  return version;
+  log_->push(std::move(key), record);
+  return true;
 }
 
 void ResultStore::finalize(const ResultDb& canonical) {

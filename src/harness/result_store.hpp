@@ -6,50 +6,50 @@
 #include <string>
 
 #include "common/annotated_mutex.hpp"
-#include "common/persistent.hpp"
 #include "harness/record.hpp"
 
 namespace hpac::harness {
 
-/// Versioned, snapshot-readable result store over the Campaign journal —
+/// Snapshot-readable, append-only result store over the Campaign journal —
 /// the persistence layer that turns one-shot batch sweeps into a serving
 /// substrate (ROADMAP item 1). One writer appends records through the
 /// existing flushed-CSV journal path (so files stay byte-compatible with
 /// pre-store campaigns and a killed writer loses at most the in-flight
-/// record); any number of readers take immutable snapshots.
+/// record); any number of readers take snapshots.
 ///
 /// Concurrency contract:
-///  * `append` serializes writers on the writer mutex, writes + flushes
-///    the journal row and builds the next index, then publishes the new
-///    version in one pointer swap.
-///  * `snapshot` copies the published pointer under a dedicated head
-///    mutex held for nothing but that copy (a refcount bump — no journal
-///    IO, no index work ever happens under it). It never takes the
-///    writer lock, so a blocked or slow writer cannot stall readers and
-///    concurrent readers add no contention to the writer's slow path.
-///  * A snapshot is an immutable value: every record and index node it
-///    references is structurally shared with later versions
-///    (`common::PersistentVector` / `common::PersistentMap`) and stays
-///    valid for the snapshot's lifetime regardless of subsequent appends.
+///  * The store and all its snapshots share one log: the records in append
+///    order, in a container whose element addresses never move, plus a
+///    tuple-key index, guarded by one mutex. A record is never modified or
+///    removed, so a snapshot is a prefix of the log: the log plus a count.
+///  * `append` serializes writers on the writer mutex and writes + flushes
+///    the journal row before it pushes the record under the log mutex, so
+///    no snapshot can ever count a row that is not yet durable.
+///  * Readers hold the log mutex only for a count (`snapshot`, `size`), an
+///    index lookup (`find_key`) or one record's address (`at`). No journal
+///    IO and no caller code ever runs under it, so a `for_each` callback
+///    may append to the very store it iterates.
+///  * A snapshot sees exactly its prefix for its whole lifetime: lookups of
+///    later tuples miss, and every record reference it hands out stays
+///    valid while the snapshot lives, even past the store itself.
 class ResultStore {
+  class Log;
+
  public:
-  /// An immutable view of the store at one version. Copies are cheap
-  /// (shared structure); all methods are const and thread-safe.
+  /// A fixed-length prefix of the store's log. Copies are cheap (a
+  /// shared_ptr and a count); all methods are const and thread-safe.
   class Snapshot {
    public:
-    Snapshot() : state_(empty_state()) {}
+    Snapshot() = default;
 
-    /// Number of appends absorbed (restored rows included). Strictly
-    /// monotonic across the store's lifetime; two snapshots with equal
-    /// versions are the same value.
-    std::uint64_t version() const { return state_->version; }
-    std::size_t size() const { return state_->records.size(); }
-    bool empty() const { return size() == 0; }
+    /// Records visible to this snapshot (restored rows included).
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /// Record for a (benchmark, device, spec, items-per-thread) tuple, or
-    /// nullptr. The pointee is owned by the store's persistent structure
-    /// and outlives the snapshot only while some snapshot references it —
-    /// copy it out to keep it past this snapshot's lifetime.
+    /// nullptr when the tuple is absent from this snapshot's prefix. The
+    /// pointee lives in the shared log: it stays valid while this snapshot
+    /// (or any other holder of the log) lives.
     const RunRecord* find(const std::string& benchmark, const std::string& device,
                           const std::string& spec_text,
                           std::uint64_t items_per_thread) const;
@@ -58,13 +58,14 @@ class ResultStore {
       return find_key(tuple_key) != nullptr;
     }
 
-    /// Record by append order (0 = oldest).
-    const RunRecord& at(std::size_t index) const { return state_->records[index]; }
+    /// Record by append order (0 = oldest); `index` must be below size().
+    const RunRecord& at(std::size_t index) const;
 
-    /// Visit every record in append order.
+    /// Visit the snapshot's records in append order. The log mutex is held
+    /// only while each record's address is fetched, never across `fn`.
     template <typename Fn>
     void for_each(Fn&& fn) const {
-      state_->records.for_each(fn);
+      for (std::size_t i = 0; i < size_; ++i) fn(at(i));
     }
 
     /// Materialize as a ResultDb (append order) for the analysis helpers.
@@ -73,16 +74,11 @@ class ResultStore {
    private:
     friend class ResultStore;
 
-    struct State {
-      common::PersistentVector<RunRecord> records;
-      common::PersistentMap<std::string, std::size_t> index;  ///< tuple key -> record
-      std::uint64_t version = 0;
-    };
+    Snapshot(std::shared_ptr<const Log> shared_log, std::size_t prefix)
+        : log_(std::move(shared_log)), size_(prefix) {}
 
-    explicit Snapshot(std::shared_ptr<const State> state) : state_(std::move(state)) {}
-    static const std::shared_ptr<const State>& empty_state();
-
-    std::shared_ptr<const State> state_;
+    std::shared_ptr<const Log> log_;
+    std::size_t size_ = 0;
   };
 
   /// Counters of the journal absorption performed by the constructor.
@@ -112,28 +108,22 @@ class ResultStore {
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
 
-  /// The current version: one pointer copy under the head mutex, never
-  /// the writer lock.
-  Snapshot snapshot() const {
-    common::MutexLock lock(head_mutex_);
-    return Snapshot(state_);
-  }
+  /// The current prefix: the log mutex is held only to read the count,
+  /// never the writer lock.
+  Snapshot snapshot() const;
 
   /// Append one record: journal row written and flushed under the writer
-  /// lock, then the new version is published. Throws hpac::Error when the
+  /// lock, then the record becomes visible. Throws hpac::Error when the
   /// record's tuple is already present (the resume paths check first).
-  /// Returns the published version.
-  std::uint64_t append(const RunRecord& record);
+  void append(const RunRecord& record);
 
   /// Like `append`, but when the tuple is already present it writes
-  /// nothing and returns 0 (never a real version: the first append
-  /// publishes version >= 1). For producers racing on one store — e.g. a
+  /// nothing and returns false. For producers racing on one store — e.g. a
   /// TuningService evaluation vs. a concurrent campaign.
-  std::uint64_t append_if_absent(const RunRecord& record);
+  bool append_if_absent(const RunRecord& record);
 
-  /// `version()` of the latest snapshot, without building one.
-  std::uint64_t version() const { return snapshot().version(); }
-  std::size_t size() const { return snapshot().size(); }
+  /// `size()` of the latest snapshot, without building one.
+  std::size_t size() const;
 
   const std::string& path() const { return path_; }
   bool persistent() const { return !path_.empty(); }
@@ -151,27 +141,16 @@ class ResultStore {
   static std::string key_of(const RunRecord& record);
 
  private:
-  void publish(std::shared_ptr<const Snapshot::State> next) {
-    common::MutexLock lock(head_mutex_);
-    state_ = std::move(next);
-  }
-
   std::string path_;
   bool read_only_ = false;
   LoadStats load_stats_;
+  /// The records and their index, shared with every snapshot.
+  const std::shared_ptr<Log> log_;
   common::Mutex writer_mutex_;  ///< serializes append/finalize
   /// Journal stream, open while persistent() && !finalized_. Written by
   /// the constructor (single-threaded) and then only under writer_mutex_.
   std::ofstream journal_ GUARDED_BY(writer_mutex_);
   bool finalized_ GUARDED_BY(writer_mutex_) = false;
-  /// Guards only the `state_` pointer itself: both sides hold it for a
-  /// single shared_ptr copy/swap. (std::atomic<shared_ptr> would express
-  /// this directly, but libstdc++'s spinlock implementation unlocks the
-  /// reader side with a relaxed RMW, which ThreadSanitizer — gating in CI
-  /// — rightly refuses to treat as synchronizing with the writer.)
-  mutable common::Mutex head_mutex_;
-  /// Published head: written by publish(), copied by snapshot().
-  std::shared_ptr<const Snapshot::State> state_ GUARDED_BY(head_mutex_);
 };
 
 }  // namespace hpac::harness

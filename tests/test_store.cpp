@@ -1,8 +1,9 @@
 // Tests for harness::ResultStore, the snapshot-readable persistence layer
 // under Campaign and TuningService. The load-bearing properties:
-//   * snapshots are immutable, consistent values — concurrent readers see
-//     a version whose contents never shift under them while the writer
-//     appends (the sharded cases run under ThreadSanitizer in CI);
+//   * snapshots are immutable prefixes of the append-only log — concurrent
+//     readers see a prefix whose contents never shift under them while the
+//     writer appends, and no caller code runs under the log's lock (the
+//     threaded cases run under ThreadSanitizer in CI);
 //   * the journal stays byte-compatible with the pre-store Campaign CSV:
 //     a writer killed mid-append leaves a journal that reloads (torn tail
 //     dropped) and finalizes byte-identical to an uninterrupted run;
@@ -62,13 +63,14 @@ RunRecord make_record(std::uint64_t i) {
 TEST(ResultStore, StartsEmptyAndVersionsAppends) {
   ResultStore store;  // in-memory
   EXPECT_FALSE(store.persistent());
-  EXPECT_EQ(store.version(), 0u);
+  EXPECT_EQ(store.size(), 0u);
   EXPECT_TRUE(store.snapshot().empty());
 
-  EXPECT_EQ(store.append(make_record(0)), 1u);
-  EXPECT_EQ(store.append(make_record(1)), 2u);
+  store.append(make_record(0));
+  EXPECT_EQ(store.size(), 1u);
+  store.append(make_record(1));
+  EXPECT_EQ(store.size(), 2u);
   const ResultStore::Snapshot snap = store.snapshot();
-  EXPECT_EQ(snap.version(), 2u);
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap.at(0).spec_text, "perfo(small:2)");
   EXPECT_EQ(snap.at(1).spec_text, "perfo(small:3)");
@@ -89,11 +91,10 @@ TEST(ResultStore, FindUsesCampaignTupleIdentity) {
 
 TEST(ResultStore, DuplicateTuplesThrowOrNoOp) {
   ResultStore store;
-  EXPECT_NE(store.append_if_absent(make_record(0)), 0u);
-  EXPECT_EQ(store.append_if_absent(make_record(0)), 0u);  // silently kept first
+  EXPECT_TRUE(store.append_if_absent(make_record(0)));
+  EXPECT_FALSE(store.append_if_absent(make_record(0)));  // silently kept first
   EXPECT_THROW(store.append(make_record(0)), Error);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.version(), 1u);  // failed appends publish nothing
+  EXPECT_EQ(store.size(), 1u);  // failed appends add nothing
 }
 
 TEST(ResultStore, SnapshotsAreImmutableValues) {
@@ -107,18 +108,43 @@ TEST(ResultStore, SnapshotsAreImmutableValues) {
 
   // The old snapshot still shows exactly what it showed at capture time,
   // and the interior pointer it handed out is still the same record.
-  EXPECT_EQ(old.version(), 1u);
   EXPECT_EQ(old.size(), 1u);
   EXPECT_EQ(old.find_key(ResultStore::key_of(make_record(0))), pinned);
   EXPECT_EQ(old.find_key(ResultStore::key_of(make_record(7))), nullptr);
   EXPECT_EQ(store.snapshot().size(), 200u);
 }
 
+TEST(ResultStore, ForEachCallbackMayAppendAndLookUpWithoutDeadlock) {
+  // The log's lock covers a count, a lookup or an address, never caller
+  // code: a callback that appends to the same store and queries the very
+  // snapshot it iterates must neither deadlock nor widen that snapshot.
+  ResultStore store;
+  for (std::uint64_t i = 0; i < 3; ++i) store.append(make_record(i));
+  const ResultStore::Snapshot snap = store.snapshot();
+  std::size_t visited = 0;
+  snap.for_each([&](const RunRecord& rec) {
+    ++visited;
+    const RunRecord fresh = make_record(100 + rec.perfo_stride);
+    store.append(fresh);
+    EXPECT_EQ(snap.find_key(ResultStore::key_of(rec)), &rec);
+    EXPECT_EQ(snap.find_key(ResultStore::key_of(fresh)), nullptr);
+  });
+  EXPECT_EQ(visited, 3u);
+  EXPECT_EQ(snap.size(), 3u);
+
+  const ResultStore::Snapshot next = store.snapshot();
+  EXPECT_EQ(next.size(), 6u);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(next.contains_key(ResultStore::key_of(make_record(102 + i))));
+  }
+}
+
 TEST(ResultStore, ConcurrentReadersSeeConsistentVersions) {
   // The writer appends while readers continuously snapshot and audit the
-  // invariant version == size == number of distinct specs reachable via
-  // the index. Under TSan this also proves the read path (which never
-  // takes the writer lock) is race-free against the publishing writer.
+  // invariant size == number of records reachable via the index of the
+  // same snapshot, with sizes monotonic. Under TSan this also proves the
+  // read path (which never takes the writer lock) is race-free against
+  // the appending writer.
   ResultStore store;
   constexpr std::uint64_t kAppends = 400;
   constexpr int kReaders = 4;
@@ -129,13 +155,12 @@ TEST(ResultStore, ConcurrentReadersSeeConsistentVersions) {
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&] {
-      std::uint64_t last_version = 0;
+      std::size_t last_size = 0;
       while (!done.load(std::memory_order_acquire)) {
         const ResultStore::Snapshot snap = store.snapshot();
-        if (snap.version() < last_version) ++inconsistencies;  // must be monotonic
-        last_version = snap.version();
-        if (snap.version() != snap.size()) ++inconsistencies;
-        // Every record present in the vector must be reachable through
+        if (snap.size() < last_size) ++inconsistencies;  // must be monotonic
+        last_size = snap.size();
+        // Every record in the snapshot's prefix must be reachable through
         // the index of the *same* snapshot.
         std::uint64_t reachable = 0;
         snap.for_each([&](const RunRecord& rec) {
@@ -151,7 +176,7 @@ TEST(ResultStore, ConcurrentReadersSeeConsistentVersions) {
   for (auto& t : readers) t.join();
 
   EXPECT_EQ(inconsistencies.load(), 0u);
-  EXPECT_EQ(store.version(), kAppends);
+  EXPECT_EQ(store.size(), kAppends);
 }
 
 TEST(ResultStore, JournalMatchesCanonicalCsvFormat) {
@@ -191,7 +216,7 @@ TEST(ResultStore, RestoresJournalAndDropsTornTail) {
   ResultStore reopened(path);
   EXPECT_EQ(reopened.load_stats().restored, 3u);  // torn row 3 dropped
   EXPECT_EQ(reopened.load_stats().duplicates, 0u);
-  EXPECT_EQ(reopened.version(), 3u);
+  EXPECT_EQ(reopened.size(), 3u);
   EXPECT_FALSE(reopened.snapshot().contains_key(ResultStore::key_of(make_record(3))));
 
   // Re-appending the lost record continues the same journal, and the

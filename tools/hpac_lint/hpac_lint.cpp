@@ -6,10 +6,12 @@
 //                              commit extents (directly or via
 //                              bind_row_commit_extents) so the audit layer
 //                              can verify the independence claim.
-//   banned-function            no rand()/time()/locale-dependent parsing
-//                              (strtod, atoi, sscanf, ...) anywhere in src/:
-//                              results must be reproducible and checkpoint
-//                              parsing locale-proof.
+//   banned-function            no rand()/time()/unchecked or locale-dependent
+//                              parsing (strtod, strtoull, atoi, std::stoi,
+//                              sscanf, ...) anywhere in src/, examples/ or
+//                              bench/: results must be reproducible, and
+//                              checkpoint and command-line parsing
+//                              locale-proof and range-checked.
 //   raw-thread                 no raw std::thread construction outside the
 //                              scheduler, the server's thread-per-connection
 //                              registry and the dist-campaign heartbeat —
@@ -31,9 +33,11 @@
 //
 // Input selection is compile_commands-driven: pass the build tree's
 // compile_commands.json and every first-party .cpp it lists under
-// <root>/src is scanned (headers under src/ are always walked). Without
-// it, src/ is walked for both. `--expect-all-rules` inverts the exit
-// logic for the seeded-violation fixture: success means every rule fired.
+// <root>/src, <root>/examples and <root>/bench is scanned (headers there
+// are always walked). Without it, those directories are walked for both.
+// src/ gets every rule; examples/ and bench/ get banned-function only.
+// `--expect-all-rules` inverts the exit logic for the seeded-violation
+// fixture: success means every rule and every banned token fired.
 
 #include <algorithm>
 #include <cctype>
@@ -104,9 +108,10 @@ bool path_ends_with(const std::string& path, const std::string& suffix) {
 
 const std::vector<std::string>& banned_tokens() {
   static const std::vector<std::string> tokens = {
-      "rand(",   "srand(",  "time(",      "strtod(", "strtof(",  "strtol(",
-      "atof(",   "atoi(",   "atol(",      "sscanf(", "setlocale(",
-      "stod(",   "stof(",
+      "rand(",   "srand(",   "time(",    "strtod(", "strtof(", "strtol(",
+      "strtoul(", "strtoull(", "strtoll(", "atof(",   "atoi(",   "atol(",
+      "sscanf(", "setlocale(", "stod(",    "stof(",   "stoi(",   "stol(",
+      "stoll(",  "stoul(",    "stoull(",
   };
   return tokens;
 }
@@ -325,24 +330,23 @@ std::vector<std::string> compile_commands_files(const fs::path& json_path) {
   return files;
 }
 
-std::vector<std::string> collect_inputs(const fs::path& root,
-                                        const fs::path& compile_commands) {
-  const fs::path src = root / "src";
+/// The files to scan under `dir`: the .cpp files of `compiled` (the
+/// compile_commands entries, when given) that lie there — or every .cpp
+/// found when no compile_commands was given — plus every header.
+std::vector<std::string> collect_inputs(const fs::path& dir, bool use_compile_commands,
+                                        const std::vector<std::string>& compiled) {
+  if (!fs::is_directory(dir)) return {};
   std::set<std::string> inputs;
-  const auto canonical_src = fs::weakly_canonical(src).string();
-  if (!compile_commands.empty()) {
-    for (const std::string& file : compile_commands_files(compile_commands)) {
-      const std::string resolved = fs::weakly_canonical(fs::path(file)).string();
-      if (resolved.rfind(canonical_src, 0) == 0) inputs.insert(resolved);
-    }
+  const std::string prefix = fs::weakly_canonical(dir).string() + "/";
+  for (const std::string& file : compiled) {
+    const std::string resolved = fs::weakly_canonical(fs::path(file)).string();
+    if (resolved.rfind(prefix, 0) == 0) inputs.insert(resolved);
   }
-  if (fs::is_directory(src)) {
-    for (const auto& entry : fs::recursive_directory_iterator(src)) {
-      if (!entry.is_regular_file()) continue;
-      const std::string ext = entry.path().extension().string();
-      if (ext == ".hpp" || (compile_commands.empty() && ext == ".cpp")) {
-        inputs.insert(fs::weakly_canonical(entry.path()).string());
-      }
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string ext = entry.path().extension().string();
+    if (ext == ".hpp" || (!use_compile_commands && ext == ".cpp")) {
+      inputs.insert(fs::weakly_canonical(entry.path()).string());
     }
   }
   return {inputs.begin(), inputs.end()};
@@ -379,7 +383,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::vector<std::string> inputs = collect_inputs(root, compile_commands);
+  const bool use_compile_commands = !compile_commands.empty();
+  const std::vector<std::string> compiled =
+      use_compile_commands ? compile_commands_files(compile_commands)
+                           : std::vector<std::string>{};
+  const std::vector<std::string> inputs =
+      collect_inputs(root / "src", use_compile_commands, compiled);
   if (inputs.empty()) {
     std::fprintf(stderr, "hpac_lint: nothing to scan under %s/src\n",
                  root.string().c_str());
@@ -395,6 +404,14 @@ int main(int argc, char** argv) {
     check_independent_items(file, lines, findings);
     check_lease_record_bound(file, lines, findings);
   }
+  // The command-line tools parse user input too: banned-function only.
+  std::size_t scanned = inputs.size();
+  for (const char* dir : {"examples", "bench"}) {
+    for (const std::string& file : collect_inputs(root / dir, use_compile_commands, compiled)) {
+      check_banned_functions(file, read_lines(file), findings);
+      ++scanned;
+    }
+  }
 
   for (const Finding& finding : findings) {
     std::printf("%s:%zu: [%s] %s\n", finding.file.c_str(), finding.line,
@@ -402,8 +419,10 @@ int main(int argc, char** argv) {
   }
 
   if (expect_all_rules) {
-    // Fixture self-test: the seeded violations must trip EVERY rule, so a
-    // rule that silently stopped matching cannot gate anything.
+    // Fixture self-test: the seeded violations must trip EVERY rule and
+    // every banned token, so a rule or token that silently stopped
+    // matching (or a directory that stopped being scanned) cannot gate
+    // anything.
     const std::vector<std::string> rules = {
         "independent-items-extents", "banned-function", "raw-thread",
         "lease-record-bound", "simd-isolation"};
@@ -418,6 +437,18 @@ int main(int argc, char** argv) {
         all_fired = false;
       }
     }
+    for (const std::string& token : banned_tokens()) {
+      const std::string call = "call to " + token + ")";
+      const bool fired =
+          std::any_of(findings.begin(), findings.end(), [&call](const Finding& f) {
+            return f.message.rfind(call, 0) == 0;
+          });
+      if (!fired) {
+        std::fprintf(stderr, "hpac_lint: self-test token never fired: %s)\n",
+                     token.c_str());
+        all_fired = false;
+      }
+    }
     std::printf("hpac_lint: self-test %s (%zu findings)\n",
                 all_fired ? "ok" : "FAILED", findings.size());
     return all_fired ? 0 : 1;
@@ -425,9 +456,9 @@ int main(int argc, char** argv) {
 
   if (!findings.empty()) {
     std::fprintf(stderr, "hpac_lint: %zu violation(s) in %zu file(s) scanned\n",
-                 findings.size(), inputs.size());
+                 findings.size(), scanned);
     return 1;
   }
-  std::printf("hpac_lint: clean (%zu files scanned)\n", inputs.size());
+  std::printf("hpac_lint: clean (%zu files scanned)\n", scanned);
   return 0;
 }
